@@ -30,13 +30,13 @@
 //!
 //! Predicates (`cans` spawning semantics) are untouched: guarded ε-edges
 //! stay on the NFA side and are only crossed by the evaluator's guard-aware
-//! closure, exactly as in the interpreted path.
+//! closure.
 
 use crate::analysis::{eps_closure_unguarded, required_labels, Requirement};
 use crate::mfa::{LabelTest, Mfa, Nfa, NfaId, StateId};
 use smoqe_xml::Label;
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Sentinel for "no transition" in dense DFA tables.
@@ -48,14 +48,17 @@ pub const DEAD: u32 = u32::MAX;
 /// the theoretical exponential case.
 pub const DFA_STATE_CAP: usize = 512;
 
-static ANALYSIS_RUNS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ANALYSIS_RUNS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Process-wide count of plan compilations (ε-closure + required-label
-/// analyses). Eval paths must never bump this per machine or per batch
-/// lane — the analyses are shared through the compiled plan; regression
-/// tests assert the counter.
+/// Count of plan compilations (ε-closure + required-label analyses) on
+/// the calling thread. Eval paths must never bump this per machine or per
+/// batch lane — the analyses are shared through the compiled plan;
+/// regression tests assert the counter. Being per thread, the count is
+/// not disturbed by compilations running concurrently elsewhere.
 pub fn analysis_runs() -> u64 {
-    ANALYSIS_RUNS.load(Ordering::Relaxed)
+    ANALYSIS_RUNS.with(Cell::get)
 }
 
 /// Precomputed ε-closure of one state.
@@ -200,7 +203,7 @@ impl CompiledMfa {
 
     /// Compiles a plan around an already-shared MFA.
     pub fn from_arc(mfa: Arc<Mfa>) -> Self {
-        ANALYSIS_RUNS.fetch_add(1, Ordering::Relaxed);
+        ANALYSIS_RUNS.with(|n| n.set(n.get() + 1));
         let num_labels = mfa.vocabulary().len();
         // Column 0 is reserved for "label not mentioned by this plan":
         // only wildcard transitions can consume those.

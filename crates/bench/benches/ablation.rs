@@ -1,8 +1,6 @@
 //! Ablations of SMOQE's design choices (DESIGN.md §3):
 //!
 //! * MFA optimizer on/off — effect of trimming/GC on rewritten automata;
-//! * compiled (dense-table) execution vs per-event NFA interpretation of
-//!   the same rewritten plans;
 //! * guard-free closure fast path exercised vs predicate-heavy queries;
 //! * compile+rewrite pipeline cost breakdown (including table
 //!   compilation itself — the cost the plan cache amortizes away).
@@ -71,24 +69,6 @@ fn bench_ablation(c: &mut Criterion) {
                 })
             },
         );
-        // Dense-table execution vs NFA interpretation of the same plan.
-        let plan = opt_plan;
-        for (id, mode) in [
-            ("eval_compiled", ExecMode::Compiled),
-            ("eval_interpreted", ExecMode::Interpreted),
-        ] {
-            group.bench_with_input(BenchmarkId::new(id, name), &plan, |b, p| {
-                b.iter(|| {
-                    evaluate_mfa_plan(
-                        &setup.doc,
-                        p,
-                        &DomOptions::default(),
-                        mode,
-                        &mut NoopObserver,
-                    )
-                })
-            });
-        }
     }
 
     // Pipeline costs: parse, compile, rewrite, optimize.

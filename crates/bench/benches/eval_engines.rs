@@ -1,21 +1,19 @@
-//! E3: HyPE vs the two-pass baseline vs naive navigation — plus the
-//! compiled-plan ablation.
+//! E3: HyPE vs the two-pass baseline vs naive navigation.
 //!
 //! The paper's evaluator claim: one top-down pass + a Cans pass beats
 //! bottom-up+top-down tree-automata evaluation and per-node navigation
-//! ("outperforms popular XPath engines such as Xalan"). On top of that,
-//! `dom_compiled` / `dom_interpreted` and `stream_compiled` /
-//! `stream_interpreted` isolate what the dense-table compilation layer
-//! (`smoqe_automata::compile`) buys over per-event NFA interpretation when
-//! the plan is precompiled once, as the engine's plan cache does.
+//! ("outperforms popular XPath engines such as Xalan"). The
+//! `dom_compiled` and `stream_compiled` series run a plan precompiled
+//! once, as the engine's plan cache does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smoqe::workloads::hospital;
 use smoqe_automata::compile::CompiledMfa;
 use smoqe_automata::{compile, optimize::optimize};
 use smoqe_bench::HospitalSetup;
+use smoqe_hype::batch::evaluate_batch_stream_plans;
 use smoqe_hype::dom::{evaluate_mfa_plan, DomOptions};
-use smoqe_hype::stream::{evaluate_stream_plan_with, StreamOptions};
+use smoqe_hype::stream::StreamOptions;
 use smoqe_hype::{evaluate_mfa, evaluate_mfa_twopass, ExecMode, NoopObserver};
 use smoqe_rxpath::{evaluate as naive, parse_path};
 
@@ -35,40 +33,24 @@ fn bench_engines(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("hype", name), &mfa, |b, m| {
             b.iter(|| evaluate_mfa(&setup.doc, m))
         });
-        for (id, mode) in [
-            ("dom_compiled", ExecMode::Compiled),
-            ("dom_interpreted", ExecMode::Interpreted),
-        ] {
-            group.bench_with_input(BenchmarkId::new(id, name), &plan, |b, p| {
-                b.iter(|| {
-                    evaluate_mfa_plan(
-                        &setup.doc,
-                        p,
-                        &DomOptions::default(),
-                        mode,
-                        &mut NoopObserver,
-                    )
-                })
-            });
-        }
-        for (id, mode) in [
-            ("stream_compiled", ExecMode::Compiled),
-            ("stream_interpreted", ExecMode::Interpreted),
-        ] {
-            group.bench_with_input(BenchmarkId::new(id, name), &plan, |b, p| {
-                b.iter(|| {
-                    evaluate_stream_plan_with(
-                        xml.as_bytes(),
-                        p,
-                        &setup.vocab,
-                        StreamOptions::default(),
-                        mode,
-                        &mut NoopObserver,
-                    )
+        group.bench_with_input(BenchmarkId::new("dom_compiled", name), &plan, |b, p| {
+            b.iter(|| {
+                evaluate_mfa_plan(
+                    &setup.doc,
+                    p,
+                    &DomOptions::default(),
+                    ExecMode::Compiled,
+                    &mut NoopObserver,
+                )
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("stream_compiled", name), &plan, |b, p| {
+            b.iter(|| {
+                let lane = [(p, StreamOptions::default())];
+                evaluate_batch_stream_plans(xml.as_bytes(), &lane, &setup.vocab, ExecMode::Compiled)
                     .unwrap()
-                })
-            });
-        }
+            })
+        });
         group.bench_with_input(BenchmarkId::new("twopass", name), &mfa, |b, m| {
             b.iter(|| evaluate_mfa_twopass(&setup.doc, m))
         });

@@ -18,7 +18,7 @@ use smoqe_automata::compile::CompiledMfa;
 use smoqe_automata::{compile, optimize::optimize};
 use smoqe_bench::HospitalSetup;
 use smoqe_hype::dom::{evaluate_mfa_plan, DomOptions};
-use smoqe_hype::{evaluate_jump_frontier, ExecMode, NoopObserver};
+use smoqe_hype::{evaluate_jump_frontier, ExecMode, NoopObserver, WorkBudget};
 use smoqe_rxpath::parse_path;
 use smoqe_tax::TaxIndex;
 use smoqe_xml::Vocabulary;
@@ -94,7 +94,17 @@ fn bench_frontier(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("batch32", threads),
             &threads,
-            |b, &threads| b.iter(|| evaluate_jump_frontier(&setup.doc, &refs, &tax, threads)),
+            |b, &threads| {
+                b.iter(|| {
+                    evaluate_jump_frontier(
+                        &setup.doc,
+                        &refs,
+                        &tax,
+                        threads,
+                        &WorkBudget::unlimited(),
+                    )
+                })
+            },
         );
     }
     group.finish();

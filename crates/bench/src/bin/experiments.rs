@@ -15,9 +15,10 @@ use smoqe_automata::{compile, optimize::optimize};
 use smoqe_bench::{fmt_duration, time, time_mean, time_min, HospitalSetup, OrgSetup, Table};
 use smoqe_hype::batch::evaluate_batch_stream_plans;
 use smoqe_hype::dom::{evaluate_mfa_plan, evaluate_mfa_with, DomOptions};
-use smoqe_hype::stream::{evaluate_stream, evaluate_stream_plan_with, StreamOptions};
+use smoqe_hype::stream::{evaluate_stream, StreamOptions};
 use smoqe_hype::{
     evaluate_jump_frontier, evaluate_mfa, evaluate_mfa_twopass_report, ExecMode, NoopObserver,
+    WorkBudget,
 };
 use smoqe_rewrite::{rewrite, rewrite_direct};
 use smoqe_rxpath::{evaluate as naive_evaluate, parse_path};
@@ -448,7 +449,7 @@ fn e6(quick: bool) {
 ///
 /// Writes `BENCH.json` in the current directory so successive PRs have a
 /// comparable baseline: document size, stream throughput (serial vs
-/// batched × compiled vs interpreted), DOM per-query latency, plan
+/// batched), DOM per-query latency, plan
 /// (table) compilation time, and incremental TAX patch vs rebuild time.
 /// Formatting is by hand — the workspace is offline and carries no serde.
 fn bench_json(quick: bool) {
@@ -471,48 +472,42 @@ fn bench_json(quick: bool) {
             CompiledMfa::compile(&optimize(&compile(&path, &vocab)))
         })
         .collect();
-    let run_serial = |mode: ExecMode| {
-        for plan in &plans {
-            evaluate_stream_plan_with(
-                xml.as_bytes(),
-                plan,
-                &vocab,
-                StreamOptions::default(),
-                mode,
-                &mut NoopObserver,
-            )
-            .unwrap();
-        }
-    };
     let each: Vec<(&CompiledMfa, StreamOptions)> = plans
         .iter()
         .map(|p| (p, StreamOptions::default()))
         .collect();
-    let run_batched = |mode: ExecMode| {
-        evaluate_batch_stream_plans(xml.as_bytes(), &each, &vocab, mode).unwrap();
+    let run_serial = || {
+        for lane in &each {
+            evaluate_batch_stream_plans(xml.as_bytes(), &[*lane], &vocab, ExecMode::Compiled)
+                .unwrap();
+        }
+    };
+    let run_batched = || {
+        evaluate_batch_stream_plans(xml.as_bytes(), &each, &vocab, ExecMode::Compiled).unwrap();
     };
     // Queries/second = plans per wall-clock second of the whole batch.
     let qps = |d: std::time::Duration| plans.len() as f64 / d.as_secs_f64();
-    let serial_compiled = qps(time_min(iters, || run_serial(ExecMode::Compiled)));
-    let serial_interpreted = qps(time_min(iters, || run_serial(ExecMode::Interpreted)));
-    let batched_compiled = qps(time_min(iters, || run_batched(ExecMode::Compiled)));
-    let batched_interpreted = qps(time_min(iters, || run_batched(ExecMode::Interpreted)));
+    let serial_compiled = qps(time_min(iters, run_serial));
+    let batched_compiled = qps(time_min(iters, run_batched));
 
     // DOM per-query latency over the document workload (mean of means).
-    let dom_latency = |mode: ExecMode| {
-        let total: f64 = plans
-            .iter()
-            .map(|plan| {
-                time_min(iters, || {
-                    evaluate_mfa_plan(&doc, plan, &DomOptions::default(), mode, &mut NoopObserver)
-                })
-                .as_secs_f64()
+    let dom_compiled_us = plans
+        .iter()
+        .map(|plan| {
+            time_min(iters, || {
+                evaluate_mfa_plan(
+                    &doc,
+                    plan,
+                    &DomOptions::default(),
+                    ExecMode::Compiled,
+                    &mut NoopObserver,
+                )
             })
-            .sum();
-        total / plans.len() as f64 * 1e6 // µs
-    };
-    let dom_compiled_us = dom_latency(ExecMode::Compiled);
-    let dom_interpreted_us = dom_latency(ExecMode::Interpreted);
+            .as_secs_f64()
+        })
+        .sum::<f64>()
+        / plans.len() as f64
+        * 1e6; // µs
 
     // Plan-table compilation cost (what the plan cache amortizes).
     let q0 = parse_path(hospital::Q0, &vocab).unwrap();
@@ -617,7 +612,13 @@ fn bench_json(quick: bool) {
     let frontier_refs: Vec<&CompiledMfa> = frontier_plans.iter().collect();
     let batch_jump_qps = {
         let d = time_min(micro_iters, || {
-            evaluate_jump_frontier(&point_doc, &frontier_refs, &point_tax, 1)
+            evaluate_jump_frontier(
+                &point_doc,
+                &frontier_refs,
+                &point_tax,
+                1,
+                &WorkBudget::unlimited(),
+            )
         });
         frontier_refs.len() as f64 / d.as_secs_f64()
     };
@@ -782,7 +783,7 @@ fn bench_json(quick: bool) {
 
     let json = format!(
         "{{\n\
-         \x20 \"schema\": 3,\n\
+         \x20 \"schema\": 4,\n\
          \x20 \"workload\": {{\n\
          \x20   \"document\": \"hospital\",\n\
          \x20   \"nodes\": {nodes},\n\
@@ -792,13 +793,10 @@ fn bench_json(quick: bool) {
          \x20 }},\n\
          \x20 \"stream_queries_per_sec\": {{\n\
          \x20   \"serial_compiled\": {serial_compiled:.1},\n\
-         \x20   \"serial_interpreted\": {serial_interpreted:.1},\n\
-         \x20   \"batched_compiled\": {batched_compiled:.1},\n\
-         \x20   \"batched_interpreted\": {batched_interpreted:.1}\n\
+         \x20   \"batched_compiled\": {batched_compiled:.1}\n\
          \x20 }},\n\
          \x20 \"dom_query_latency_us\": {{\n\
-         \x20   \"compiled\": {dom_compiled_us:.2},\n\
-         \x20   \"interpreted\": {dom_interpreted_us:.2}\n\
+         \x20   \"compiled\": {dom_compiled_us:.2}\n\
          \x20 }},\n\
          \x20 \"plan_table_compile_us\": {compile_us:.2},\n\
          \x20 \"doc_build\": {{\n\

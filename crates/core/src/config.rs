@@ -39,14 +39,9 @@ pub struct EngineConfig {
     pub use_tax: bool,
     /// Run the MFA optimizer on compiled/rewritten queries.
     pub optimize_mfa: bool,
-    /// Execute plans through their dense-table compiled form (DFA fast
-    /// path, CSR rows, epoch arenas). Off = the per-event NFA interpreter,
-    /// kept for differential testing and the `ablation` bench; answers are
-    /// identical either way.
-    pub compiled_plans: bool,
-    /// Scan, jump, or auto-picked DOM traversal (requires
-    /// `compiled_plans`; jumping additionally needs a TAX index with its
-    /// positional label index, so `use_tax` off pins everything to scan).
+    /// Scan, jump, or auto-picked DOM traversal (jumping needs a TAX index
+    /// with its positional label index, so `use_tax` off pins everything
+    /// to scan). Plans always execute in their dense-table compiled form.
     pub eval_mode: EvalMode,
     /// Selectivity ceiling under which auto mode jumps (fraction of the
     /// document the rarest required label occupies).
@@ -72,7 +67,6 @@ impl Default for EngineConfig {
             mode: DocumentMode::Dom,
             use_tax: true,
             optimize_mfa: true,
-            compiled_plans: true,
             eval_mode: EvalMode::Auto,
             jump_selectivity: 0.1,
             eval_threads: 1,
@@ -83,13 +77,13 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// DOM mode with every optimization off (the baseline configuration).
+    /// DOM mode with every optional optimization off (the baseline
+    /// configuration): no TAX, no MFA optimizer, scan only, no plan cache.
     pub fn plain() -> Self {
         EngineConfig {
             mode: DocumentMode::Dom,
             use_tax: false,
             optimize_mfa: false,
-            compiled_plans: false,
             eval_mode: EvalMode::Scan,
             jump_selectivity: 0.0,
             eval_threads: 1,
@@ -119,7 +113,6 @@ mod tests {
         assert_eq!(c.mode, DocumentMode::Dom);
         assert!(c.use_tax);
         assert!(c.optimize_mfa);
-        assert!(c.compiled_plans);
         assert_eq!(c.eval_mode, EvalMode::Auto);
         assert!(c.jump_selectivity > 0.0);
         assert_eq!(c.eval_threads, 1);
@@ -127,11 +120,9 @@ mod tests {
         assert!(c.checkpoint_every > 0);
         assert_eq!(EngineConfig::plain().checkpoint_every, 0);
         assert!(!EngineConfig::plain().use_tax);
-        assert!(!EngineConfig::plain().compiled_plans);
         assert_eq!(EngineConfig::plain().eval_mode, EvalMode::Scan);
         assert_eq!(EngineConfig::plain().plan_cache_capacity, 0);
         assert_eq!(EngineConfig::streaming().mode, DocumentMode::Stream);
-        assert!(EngineConfig::streaming().compiled_plans);
         assert!(EngineConfig::streaming().plan_cache_capacity > 0);
     }
 }

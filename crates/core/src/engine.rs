@@ -22,10 +22,10 @@ use crate::error::EngineError;
 use crate::plancache::{CacheMetrics, PlanCache, PlanKey};
 use smoqe_automata::compile::CompiledMfa;
 use smoqe_automata::{compile, optimize::optimize, Mfa};
-use smoqe_hype::batch::evaluate_batch_stream_plans_budgeted;
+use smoqe_hype::batch::{evaluate_batch_stream_plans_budgeted, BatchOutcome};
 use smoqe_hype::dom::{evaluate_mfa_plan_budgeted, DomOptions};
-use smoqe_hype::stream::{evaluate_stream_plan_budgeted, StreamOptions};
-use smoqe_hype::{evaluate_jump_frontier_budgeted, jump_available, selectivity_estimate};
+use smoqe_hype::stream::StreamOptions;
+use smoqe_hype::{evaluate_jump_frontier, jump_available, selectivity_estimate};
 use smoqe_hype::{DriverError, EvalObserver, EvalStats, ExecMode, NoopObserver, WorkBudget};
 use smoqe_rxpath::parse_path;
 use smoqe_tax::TaxIndex;
@@ -443,16 +443,6 @@ impl Engine {
         self.plan_on(&self.default_entry(), user, query)
     }
 
-    /// The execution mode streaming paths run plans in (jumping needs
-    /// random access, so streams only ever compile or interpret).
-    fn exec_mode(&self) -> ExecMode {
-        if self.config.compiled_plans {
-            ExecMode::Compiled
-        } else {
-            ExecMode::Interpreted
-        }
-    }
-
     /// Picks the DOM traversal for one (plan, snapshot) pair: scan, jump,
     /// or — in auto mode — whichever the selectivity estimate favours.
     /// Observed evaluations always scan (a jump produces no per-node
@@ -463,9 +453,6 @@ impl Engine {
         plan: &CompiledMfa,
         observed: bool,
     ) -> ExecMode {
-        if !self.config.compiled_plans {
-            return ExecMode::Interpreted;
-        }
         if observed {
             return ExecMode::Compiled;
         }
@@ -1069,36 +1056,12 @@ impl Engine {
                 (mfa.as_ref(), StreamOptions { want_xml })
             })
             .collect();
-        let mode = self.exec_mode();
         let mut observers: Vec<NoopObserver> = plans.iter().map(|_| NoopObserver).collect();
         let mut dyns: Vec<&mut dyn EvalObserver> = observers
             .iter_mut()
             .map(|o| o as &mut dyn EvalObserver)
             .collect();
-        let outcome = if let Some(path) = &source.path {
-            let file = std::fs::File::open(path).map_err(smoqe_xml::XmlError::Io)?;
-            evaluate_batch_stream_plans_budgeted(
-                std::io::BufReader::new(file),
-                &plans,
-                &self.vocab,
-                mode,
-                &mut dyns,
-                budget,
-            )
-            .map_err(driver_error)?
-        } else if let Some(raw) = &source.raw {
-            evaluate_batch_stream_plans_budgeted(
-                raw.as_bytes(),
-                &plans,
-                &self.vocab,
-                mode,
-                &mut dyns,
-                budget,
-            )
-            .map_err(driver_error)?
-        } else {
-            return Err(EngineError::NoStreamSource);
-        };
+        let outcome = self.scan_source(&source, &plans, &mut dyns, budget)?;
         let events = outcome.events;
         let mut answers = Vec::with_capacity(parts.len());
         for (out, (user, _, cached)) in outcome.outcomes.into_iter().zip(parts) {
@@ -1106,7 +1069,7 @@ impl Engine {
                 nodes: out.answers.into_iter().map(NodeId).collect(),
                 stats: out.stats,
                 plan_cached: *cached,
-                mode,
+                mode: ExecMode::Compiled,
                 xml: out.answer_xml,
             };
             if let User::Group(g) = user {
@@ -1150,14 +1113,9 @@ impl Engine {
                 .as_deref()
                 .expect("resolving to jump mode implies a TAX index");
             let plans: Vec<&CompiledMfa> = jump_idx.iter().map(|&i| parts[i].1.as_ref()).collect();
-            let outcomes = evaluate_jump_frontier_budgeted(
-                &source.doc,
-                &plans,
-                tax,
-                self.config.eval_threads,
-                budget,
-            )
-            .map_err(|interrupt| EngineError::from(interrupt.kind))?;
+            let outcomes =
+                evaluate_jump_frontier(&source.doc, &plans, tax, self.config.eval_threads, budget)
+                    .map_err(|interrupt| EngineError::from(interrupt.kind))?;
             for (&i, outcome) in jump_idx.iter().zip(outcomes) {
                 match outcome {
                     Some((nodes, stats)) => {
@@ -1225,7 +1183,6 @@ impl Engine {
         observer: &mut dyn EvalObserver,
         budget: &WorkBudget,
     ) -> Result<Answer, EngineError> {
-        let mode = self.exec_mode();
         match self.config.mode {
             DocumentMode::Dom => {
                 let tax = if self.config.use_tax {
@@ -1247,42 +1204,54 @@ impl Engine {
                 })
             }
             DocumentMode::Stream => {
-                let options = StreamOptions { want_xml: true };
-                let outcome = if let Some(path) = &source.path {
-                    let file = std::fs::File::open(path).map_err(smoqe_xml::XmlError::Io)?;
-                    evaluate_stream_plan_budgeted(
-                        std::io::BufReader::new(file),
-                        plan,
-                        &self.vocab,
-                        options,
-                        mode,
-                        observer,
-                        budget,
-                    )
-                    .map_err(driver_error)?
-                } else if let Some(raw) = &source.raw {
-                    evaluate_stream_plan_budgeted(
-                        raw.as_bytes(),
-                        plan,
-                        &self.vocab,
-                        options,
-                        mode,
-                        observer,
-                        budget,
-                    )
-                    .map_err(driver_error)?
-                } else {
-                    return Err(EngineError::NoStreamSource);
-                };
+                let lane = [(plan, StreamOptions { want_xml: true })];
+                let outcome = self
+                    .scan_source(source, &lane, &mut [observer], budget)?
+                    .outcomes
+                    .pop()
+                    .expect("one plan in, one outcome out");
                 Ok(Answer {
                     nodes: outcome.answers.into_iter().map(NodeId).collect(),
                     stats: outcome.stats,
                     plan_cached: false,
-                    mode,
+                    mode: ExecMode::Compiled,
                     xml: outcome.answer_xml,
                 })
             }
         }
+    }
+
+    /// Runs `plans` over one sequential scan of the snapshot's serialized
+    /// form: the backing file when the document was loaded from one,
+    /// otherwise the in-memory buffer.
+    fn scan_source(
+        &self,
+        source: &LoadedSource,
+        plans: &[(&CompiledMfa, StreamOptions)],
+        observers: &mut [&mut dyn EvalObserver],
+        budget: &WorkBudget,
+    ) -> Result<BatchOutcome, EngineError> {
+        let outcome = if let Some(path) = &source.path {
+            let file = std::fs::File::open(path).map_err(smoqe_xml::XmlError::Io)?;
+            evaluate_batch_stream_plans_budgeted(
+                std::io::BufReader::new(file),
+                plans,
+                &self.vocab,
+                observers,
+                budget,
+            )
+        } else if let Some(raw) = &source.raw {
+            evaluate_batch_stream_plans_budgeted(
+                raw.as_bytes(),
+                plans,
+                &self.vocab,
+                observers,
+                budget,
+            )
+        } else {
+            return Err(EngineError::NoStreamSource);
+        };
+        outcome.map_err(driver_error)
     }
 }
 

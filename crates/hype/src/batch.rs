@@ -62,9 +62,9 @@ struct Lane<'a> {
 }
 
 impl<'a> Lane<'a> {
-    fn new(plan: &'a CompiledMfa, options: StreamOptions, mode: ExecMode) -> Self {
+    fn new(plan: &'a CompiledMfa, options: StreamOptions) -> Self {
         Lane {
-            machine: Machine::with_mode(plan, None, mode),
+            machine: Machine::new(plan, None),
             options,
             skip_from: None,
             recorders: Vec::new(),
@@ -193,110 +193,40 @@ impl<'a> Lane<'a> {
 
 /// Evaluates all `plans` over the XML text arriving from `reader` in one
 /// sequential scan (compiling each plan on the fly; the engine paths use
-/// [`evaluate_batch_stream_plans`] with cached compiled plans).
+/// [`evaluate_batch_stream_plans_budgeted`] with cached compiled plans).
 pub fn evaluate_batch_stream<R: BufRead>(
     reader: R,
     plans: &[&Mfa],
     vocab: &Vocabulary,
     options: StreamOptions,
 ) -> Result<BatchOutcome, XmlError> {
-    let mut observers: Vec<NoopObserver> = plans.iter().map(|_| NoopObserver).collect();
-    let mut dyns: Vec<&mut dyn EvalObserver> = observers
-        .iter_mut()
-        .map(|o| o as &mut dyn EvalObserver)
-        .collect();
-    evaluate_batch_stream_with(reader, plans, vocab, options, &mut dyns)
-}
-
-/// Evaluates all `plans` over a string slice (convenience).
-pub fn evaluate_batch_stream_str(
-    input: &str,
-    plans: &[&Mfa],
-    vocab: &Vocabulary,
-    options: StreamOptions,
-) -> Result<BatchOutcome, XmlError> {
-    evaluate_batch_stream(input.as_bytes(), plans, vocab, options)
-}
-
-/// Per-plan options variant: each plan rides the shared scan with its own
-/// [`StreamOptions`] — e.g. only some of the batch's answers need their
-/// XML buffered.
-pub fn evaluate_batch_stream_each<R: BufRead>(
-    reader: R,
-    plans: &[(&Mfa, StreamOptions)],
-    vocab: &Vocabulary,
-) -> Result<BatchOutcome, XmlError> {
-    let compiled: Vec<CompiledMfa> = plans
-        .iter()
-        .map(|&(mfa, _)| CompiledMfa::compile(mfa))
-        .collect();
-    let mut observers: Vec<NoopObserver> = plans.iter().map(|_| NoopObserver).collect();
-    let mut dyns: Vec<&mut dyn EvalObserver> = observers
-        .iter_mut()
-        .map(|o| o as &mut dyn EvalObserver)
-        .collect();
-    let lanes = compiled
-        .iter()
-        .zip(plans)
-        .map(|(plan, &(_, options))| Lane::new(plan, options, ExecMode::Compiled))
-        .collect();
-    run_batch(reader, lanes, vocab, &mut dyns)
-}
-
-/// Full-control variant: one observer per plan, in the same order.
-///
-/// # Panics
-/// Panics if `observers.len() != plans.len()`.
-pub fn evaluate_batch_stream_with<R: BufRead>(
-    reader: R,
-    plans: &[&Mfa],
-    vocab: &Vocabulary,
-    options: StreamOptions,
-    observers: &mut [&mut dyn EvalObserver],
-) -> Result<BatchOutcome, XmlError> {
     let compiled: Vec<CompiledMfa> = plans.iter().map(|&mfa| CompiledMfa::compile(mfa)).collect();
-    let lanes = compiled
-        .iter()
-        .map(|plan| Lane::new(plan, options, ExecMode::Compiled))
-        .collect();
-    run_batch(reader, lanes, vocab, observers)
+    let lanes: Vec<(&CompiledMfa, StreamOptions)> =
+        compiled.iter().map(|plan| (plan, options)).collect();
+    evaluate_batch_stream_plans(reader, &lanes, vocab, ExecMode::Compiled)
 }
 
-/// Precompiled-plan variant — what the engine's batch path calls: plans
-/// come straight from the shared plan cache, so no per-request analysis
-/// or table construction happens here. `mode` selects the dense-table
-/// executor or the per-event interpreter for every lane.
+/// Precompiled-plan variant: each plan rides the shared scan with its own
+/// [`StreamOptions`], with no observer and no budget.
+///
+/// A stream is always scanned, so `_mode` has no effect: the parameter
+/// only keeps this signature stable for existing callers.
 pub fn evaluate_batch_stream_plans<R: BufRead>(
     reader: R,
     plans: &[(&CompiledMfa, StreamOptions)],
     vocab: &Vocabulary,
-    mode: ExecMode,
+    _mode: ExecMode,
 ) -> Result<BatchOutcome, XmlError> {
     let mut observers: Vec<NoopObserver> = plans.iter().map(|_| NoopObserver).collect();
     let mut dyns: Vec<&mut dyn EvalObserver> = observers
         .iter_mut()
         .map(|o| o as &mut dyn EvalObserver)
         .collect();
-    evaluate_batch_stream_plans_with(reader, plans, vocab, mode, &mut dyns)
-}
-
-/// Precompiled-plan variant with one observer per plan.
-///
-/// # Panics
-/// Panics if `observers.len() != plans.len()`.
-pub fn evaluate_batch_stream_plans_with<R: BufRead>(
-    reader: R,
-    plans: &[(&CompiledMfa, StreamOptions)],
-    vocab: &Vocabulary,
-    mode: ExecMode,
-    observers: &mut [&mut dyn EvalObserver],
-) -> Result<BatchOutcome, XmlError> {
     match evaluate_batch_stream_plans_budgeted(
         reader,
         plans,
         vocab,
-        mode,
-        observers,
+        &mut dyns,
         &WorkBudget::unlimited(),
     ) {
         Ok(out) => Ok(out),
@@ -305,11 +235,14 @@ pub fn evaluate_batch_stream_plans_with<R: BufRead>(
     }
 }
 
-/// [`evaluate_batch_stream_plans_with`] under a [`WorkBudget`]: the shared
-/// scan checks the budget once per parser event and abandons every lane
-/// with the merged partial counters when the deadline passes or the cancel
-/// token flips. Abandonment drops the parser and all lane-local machines
-/// and buffers — nothing shared is touched.
+/// The shared driver — what the engine's stream and batch paths call:
+/// one parser, one event loop, one lane per precompiled plan, one
+/// observer per plan in the same order. Plans come straight from the
+/// shared plan cache, so no per-request analysis or table construction
+/// happens here. The scan checks `budget` once per parser event and
+/// abandons every lane with the merged partial counters when the deadline
+/// passes or the cancel token flips. Abandonment drops the parser and all
+/// lane-local machines and buffers — nothing shared is touched.
 ///
 /// # Panics
 /// Panics if `observers.len() != plans.len()`.
@@ -317,39 +250,13 @@ pub fn evaluate_batch_stream_plans_budgeted<R: BufRead>(
     reader: R,
     plans: &[(&CompiledMfa, StreamOptions)],
     vocab: &Vocabulary,
-    mode: ExecMode,
     observers: &mut [&mut dyn EvalObserver],
     budget: &WorkBudget,
 ) -> Result<BatchOutcome, DriverError> {
-    let lanes = plans
+    let mut lanes: Vec<Lane> = plans
         .iter()
-        .map(|&(plan, options)| Lane::new(plan, options, mode))
+        .map(|&(plan, options)| Lane::new(plan, options))
         .collect();
-    run_batch_budgeted(reader, lanes, vocab, observers, budget)
-}
-
-/// The shared driver: one parser, one event loop, N lanes.
-fn run_batch<R: BufRead>(
-    reader: R,
-    lanes: Vec<Lane>,
-    vocab: &Vocabulary,
-    observers: &mut [&mut dyn EvalObserver],
-) -> Result<BatchOutcome, XmlError> {
-    match run_batch_budgeted(reader, lanes, vocab, observers, &WorkBudget::unlimited()) {
-        Ok(out) => Ok(out),
-        Err(DriverError::Xml(e)) => Err(e),
-        Err(DriverError::Interrupted(_)) => unreachable!("an unlimited budget never interrupts"),
-    }
-}
-
-/// [`run_batch`] with a budget meter ticking once per parser event.
-fn run_batch_budgeted<R: BufRead>(
-    reader: R,
-    mut lanes: Vec<Lane>,
-    vocab: &Vocabulary,
-    observers: &mut [&mut dyn EvalObserver],
-    budget: &WorkBudget,
-) -> Result<BatchOutcome, DriverError> {
     assert_eq!(
         lanes.len(),
         observers.len(),
@@ -448,8 +355,13 @@ mod tests {
         let doc = Document::parse_str(xml, &vocab).unwrap();
         let mfas = compile_all(queries, &vocab);
         let plans: Vec<&Mfa> = mfas.iter().collect();
-        let out = evaluate_batch_stream_str(xml, &plans, &vocab, StreamOptions { want_xml: true })
-            .unwrap();
+        let out = evaluate_batch_stream(
+            xml.as_bytes(),
+            &plans,
+            &vocab,
+            StreamOptions { want_xml: true },
+        )
+        .unwrap();
         assert_eq!(out.outcomes.len(), queries.len());
         for (i, q) in queries.iter().enumerate() {
             let (dom_answers, _) = evaluate_mfa(&doc, &mfas[i]);
@@ -514,8 +426,13 @@ mod tests {
     #[test]
     fn empty_batch_still_scans_once() {
         let vocab = Vocabulary::new();
-        let out = evaluate_batch_stream_str("<a><b/></a>", &[], &vocab, StreamOptions::default())
-            .unwrap();
+        let out = evaluate_batch_stream(
+            "<a><b/></a>".as_bytes(),
+            &[],
+            &vocab,
+            StreamOptions::default(),
+        )
+        .unwrap();
         assert!(out.outcomes.is_empty());
         assert_eq!(out.events, 5); // a, b, /b, /a, end
     }
@@ -547,7 +464,6 @@ mod tests {
             xml.as_bytes(),
             &plans,
             &vocab,
-            ExecMode::Compiled,
             &mut dyns,
             &budget,
         )
@@ -572,9 +488,12 @@ mod tests {
         let vocab = Vocabulary::new();
         let p = parse_path("a", &vocab).unwrap();
         let mfa = compile(&p, &vocab);
-        assert!(
-            evaluate_batch_stream_str("<a><b></a>", &[&mfa], &vocab, StreamOptions::default())
-                .is_err()
-        );
+        assert!(evaluate_batch_stream(
+            "<a><b></a>".as_bytes(),
+            &[&mfa],
+            &vocab,
+            StreamOptions::default()
+        )
+        .is_err());
     }
 }

@@ -43,7 +43,7 @@ pub fn evaluate_mfa_with(
 
 /// Evaluates a precompiled plan over `doc` — the engine's DOM path. The
 /// plan is compiled once (and cached engine-wide); `mode` selects the
-/// dense-table executor, the per-event interpreter, or the jump scan.
+/// full compiled walk or the jump scan.
 ///
 /// [`ExecMode::Jump`] engages for DFA plans — exact DFAs for the
 /// guard-free fragment, guard-stripped DFAs with exact per-candidate
@@ -81,18 +81,13 @@ pub fn evaluate_mfa_plan_budgeted(
         doc.vocabulary().same_as(plan.mfa().vocabulary()),
         "document and query must share a vocabulary"
     );
-    let mode = if mode == ExecMode::Jump {
-        if observer.is_noop() {
-            if let Some(tax) = options.tax {
-                if let Some(result) = crate::jump::evaluate_jump_budgeted(doc, plan, tax, budget) {
-                    return result;
-                }
+    if mode == ExecMode::Jump && observer.is_noop() {
+        if let Some(tax) = options.tax {
+            if let Some(result) = crate::jump::evaluate_jump(doc, plan, tax, budget) {
+                return result;
             }
         }
-        ExecMode::Compiled
-    } else {
-        mode
-    };
+    }
     // `text() = 'c'` compares the node's direct text; the virtual
     // document node has none.
     let resolver = |n: u32| -> Cow<'_, str> {
@@ -103,7 +98,7 @@ pub fn evaluate_mfa_plan_budgeted(
         }
     };
     let mut meter = budget.meter();
-    let mut machine = Machine::with_mode(plan, Some(&resolver), mode);
+    let mut machine = Machine::new(plan, Some(&resolver));
     machine.begin(observer);
 
     // Explicit stack: (node, entered?).

@@ -49,26 +49,14 @@ type ChunkOut = (RegionParts, Option<EvalInterrupt>);
 ///
 /// `threads` bounds the worker count for the frontier sweep; `1` runs
 /// the whole sweep inline on the calling thread.
+///
+/// Every chunk sweeps with its own meter of `budget` (ticking once per
+/// frontier entry, on top of the drivers' own per-node ticks) and the
+/// whole batch abandons with merged partial counters as soon as any chunk
+/// observes the deadline or the cancel token. Abandonment drops only
+/// per-chunk drivers and cursors — the document, the TAX index, and the
+/// plans are shared immutable snapshots.
 pub fn evaluate_jump_frontier(
-    doc: &Document,
-    plans: &[&CompiledMfa],
-    tax: &TaxIndex,
-    threads: usize,
-) -> Vec<Option<(NodeSet, EvalStats)>> {
-    match evaluate_jump_frontier_budgeted(doc, plans, tax, threads, &WorkBudget::unlimited()) {
-        Ok(results) => results,
-        Err(_) => unreachable!("an unlimited budget never interrupts"),
-    }
-}
-
-/// [`evaluate_jump_frontier`] under a [`WorkBudget`]: every chunk sweeps
-/// with its own meter (ticking once per frontier entry, on top of the
-/// drivers' own per-node ticks) and the whole batch abandons with merged
-/// partial counters as soon as any chunk observes the deadline or the
-/// cancel token. Abandonment drops only per-chunk drivers and cursors —
-/// the document, the TAX index, and the plans are shared immutable
-/// snapshots.
-pub fn evaluate_jump_frontier_budgeted(
     doc: &Document,
     plans: &[&CompiledMfa],
     tax: &TaxIndex,
@@ -228,6 +216,16 @@ mod tests {
         CompiledMfa::compile(&compile(&parse_path(q, vocab).unwrap(), vocab))
     }
 
+    fn unlimited(
+        doc: &Document,
+        plans: &[&CompiledMfa],
+        tax: &TaxIndex,
+        threads: usize,
+    ) -> Vec<Option<(NodeSet, EvalStats)>> {
+        evaluate_jump_frontier(doc, plans, tax, threads, &WorkBudget::unlimited())
+            .expect("an unlimited budget never interrupts")
+    }
+
     /// The frontier must agree with per-plan jump evaluation for every
     /// plan, at every thread count.
     fn check_batch(xml: &str, queries: &[&str]) {
@@ -236,10 +234,13 @@ mod tests {
         let refs: Vec<&CompiledMfa> = plans.iter().collect();
         let solo: Vec<_> = refs
             .iter()
-            .map(|p| crate::jump::evaluate_jump(&doc, p, &tax))
+            .map(|p| {
+                crate::jump::evaluate_jump(&doc, p, &tax, &WorkBudget::unlimited())
+                    .map(|r| r.expect("an unlimited budget never interrupts"))
+            })
             .collect();
         for threads in [1, 2, 5] {
-            let batch = evaluate_jump_frontier(&doc, &refs, &tax, threads);
+            let batch = unlimited(&doc, &refs, &tax, threads);
             for ((q, solo), batch) in queries.iter().zip(&solo).zip(&batch) {
                 match (solo, batch) {
                     (Some((sa, ss)), Some((ba, bs))) => {
@@ -303,7 +304,7 @@ mod tests {
         let (vocab, doc, tax) = setup(&xml);
         let plans: Vec<CompiledMfa> = refs.iter().map(|q| plan_for(q, &vocab)).collect();
         let plan_refs: Vec<&CompiledMfa> = plans.iter().collect();
-        let batch = evaluate_jump_frontier(&doc, &plan_refs, &tax, 3);
+        let batch = unlimited(&doc, &plan_refs, &tax, 3);
         for (q, result) in refs.iter().zip(&batch) {
             let (answers, stats) = result.as_ref().expect("indexed doc: all plans jump");
             assert_eq!(answers.len(), 1, "`{q}`");
@@ -333,14 +334,14 @@ mod tests {
             check_interval: 1,
         };
         for threads in [1, 3] {
-            let interrupt = evaluate_jump_frontier_budgeted(&doc, &refs, &tax, threads, &budget)
+            let interrupt = evaluate_jump_frontier(&doc, &refs, &tax, threads, &budget)
                 .expect_err("an already-expired deadline must interrupt");
             assert_eq!(interrupt.kind, Interrupt::DeadlineExceeded, "@{threads}");
         }
         // A generous budget changes nothing.
         let generous = WorkBudget::with_deadline(Instant::now() + Duration::from_secs(3600));
-        let plain = evaluate_jump_frontier(&doc, &refs, &tax, 2);
-        let budgeted = evaluate_jump_frontier_budgeted(&doc, &refs, &tax, 2, &generous)
+        let plain = unlimited(&doc, &refs, &tax, 2);
+        let budgeted = evaluate_jump_frontier(&doc, &refs, &tax, 2, &generous)
             .expect("a generous deadline never fires");
         assert_eq!(plain, budgeted);
     }
@@ -351,7 +352,7 @@ mod tests {
         let other = Document::parse_str("<a><b/><b/></a>", &vocab).unwrap();
         let stale = TaxIndex::build(&other);
         let plan = plan_for("//b", &vocab);
-        let batch = evaluate_jump_frontier(&doc, &[&plan], &stale, 2);
+        let batch = unlimited(&doc, &[&plan], &stale, 2);
         assert_eq!(batch, vec![None]);
     }
 }

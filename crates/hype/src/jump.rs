@@ -295,26 +295,13 @@ pub fn start_region_triggers(
     out
 }
 
-/// Evaluates an eligible plan by jump scan. Returns `None` when the plan
-/// is not eligible or `tax` has no positional index for `doc` (callers
-/// fall back to the scan walker).
+/// Evaluates an eligible plan by jump scan under a [`WorkBudget`]. Returns
+/// `None` when the plan is not eligible or `tax` has no positional index
+/// for `doc` (callers fall back to the scan walker). The driver checks the
+/// budget once per probed candidate (and per `HasPath` witness step) and
+/// abandons with its partial counters when the budget interrupts;
+/// budgeting never changes eligibility.
 pub fn evaluate_jump(
-    doc: &Document,
-    plan: &CompiledMfa,
-    tax: &TaxIndex,
-) -> Option<(NodeSet, EvalStats)> {
-    match evaluate_jump_budgeted(doc, plan, tax, &WorkBudget::unlimited()) {
-        None => None,
-        Some(Ok(result)) => Some(result),
-        Some(Err(_)) => unreachable!("an unlimited budget never interrupts"),
-    }
-}
-
-/// [`evaluate_jump`] under a [`WorkBudget`]: the driver checks the budget
-/// once per probed candidate (and per `HasPath` witness step) and
-/// abandons with its partial counters when the budget interrupts. `None`
-/// still means "not jump-eligible" — budgeting never changes eligibility.
-pub fn evaluate_jump_budgeted(
     doc: &Document,
     plan: &CompiledMfa,
     tax: &TaxIndex,
@@ -1296,7 +1283,9 @@ mod tests {
         let tax = TaxIndex::build(&doc);
         let path = parse_path("//a[. = 'v']/b", &vocab).unwrap();
         let plan = CompiledMfa::compile(&compile(&path, &vocab));
-        let (answers, _) = evaluate_jump(&doc, &plan, &tax).unwrap();
+        let (answers, _) = evaluate_jump(&doc, &plan, &tax, &WorkBudget::unlimited())
+            .unwrap()
+            .expect("an unlimited budget never interrupts");
         assert_eq!(answers.len(), 2);
     }
 
@@ -1310,7 +1299,9 @@ mod tests {
         let tax = TaxIndex::build(&doc);
         let path = parse_path("//b[. = 'y']", &vocab).unwrap();
         let plan = CompiledMfa::compile(&compile(&path, &vocab));
-        let (answers, stats) = evaluate_jump(&doc, &plan, &tax).unwrap();
+        let (answers, stats) = evaluate_jump(&doc, &plan, &tax, &WorkBudget::unlimited())
+            .unwrap()
+            .expect("an unlimited budget never interrupts");
         assert_eq!(answers.len(), 1);
         assert!(
             stats.nodes_visited <= 3,
@@ -1334,7 +1325,9 @@ mod tests {
         let tax = TaxIndex::build(&doc);
         let path = parse_path("//p[n = 'Ann']", &vocab).unwrap();
         let plan = CompiledMfa::compile(&compile(&path, &vocab));
-        let (answers, stats) = evaluate_jump(&doc, &plan, &tax).unwrap();
+        let (answers, stats) = evaluate_jump(&doc, &plan, &tax, &WorkBudget::unlimited())
+            .unwrap()
+            .expect("an unlimited budget never interrupts");
         assert_eq!(answers.len(), 1);
         assert!(
             stats.nodes_visited <= 3,

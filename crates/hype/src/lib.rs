@@ -25,6 +25,19 @@
 //!   with (Arb-style);
 //! * [`observer`] / [`stats`] — monitoring hooks and counters used by the
 //!   iSMOQE-substitute visualizers and the experiment harness.
+//!
+//! Every driver executes plans through their dense-table compiled form
+//! ([`machine`]). Each has one entry point that takes the budget (and,
+//! where the driver can report per-node events, the observer) the engine
+//! needs, plus at most a convenience form for callers holding an
+//! uncompiled [`smoqe_automata::Mfa`]:
+//!
+//! | driver | engine entry point | convenience |
+//! |---|---|---|
+//! | DOM scan | [`evaluate_mfa_plan_budgeted`] | [`evaluate_mfa`], [`evaluate_mfa_with`], [`evaluate_mfa_plan`] |
+//! | jump | [`evaluate_jump`] | — |
+//! | frontier | [`evaluate_jump_frontier`] | — |
+//! | stream / batch | [`evaluate_batch_stream_plans_budgeted`] | [`evaluate_stream`], [`evaluate_batch_stream`], [`evaluate_batch_stream_plans`] |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,9 +55,8 @@ pub mod stream;
 pub mod twopass;
 
 pub use batch::{
-    evaluate_batch_stream, evaluate_batch_stream_each, evaluate_batch_stream_plans,
-    evaluate_batch_stream_plans_budgeted, evaluate_batch_stream_plans_with,
-    evaluate_batch_stream_str, evaluate_batch_stream_with, BatchOutcome,
+    evaluate_batch_stream, evaluate_batch_stream_plans, evaluate_batch_stream_plans_budgeted,
+    BatchOutcome,
 };
 pub use budget::{
     BudgetMeter, DriverError, EvalInterrupt, Interrupt, WorkBudget, DEFAULT_CHECK_INTERVAL,
@@ -52,7 +64,7 @@ pub use budget::{
 pub use dom::{
     evaluate_mfa, evaluate_mfa_plan, evaluate_mfa_plan_budgeted, evaluate_mfa_with, DomOptions,
 };
-pub use frontier::{evaluate_jump_frontier, evaluate_jump_frontier_budgeted};
+pub use frontier::evaluate_jump_frontier;
 pub use jump::{
     evaluate_jump, jump_available, jump_eligible, selectivity_estimate, start_region_triggers,
     SelectivityEstimate, TriggerInfo, TriggerKind,
@@ -60,8 +72,5 @@ pub use jump::{
 pub use machine::ExecMode;
 pub use observer::{EvalObserver, NoopObserver, PruneReason};
 pub use stats::EvalStats;
-pub use stream::{
-    evaluate_stream, evaluate_stream_plan_budgeted, evaluate_stream_plan_with, evaluate_stream_str,
-    StreamOptions, StreamOutcome,
-};
+pub use stream::{evaluate_stream, StreamOptions, StreamOutcome};
 pub use twopass::{evaluate_mfa_twopass, evaluate_mfa_twopass_report, TwoPassReport};

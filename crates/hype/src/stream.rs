@@ -23,15 +23,8 @@
 //! is the 1-lane special case of the batched evaluator, so both paths
 //! share one implementation.
 
-use crate::batch::{
-    evaluate_batch_stream_plans_budgeted, evaluate_batch_stream_plans_with,
-    evaluate_batch_stream_with,
-};
-use crate::budget::{DriverError, WorkBudget};
-use crate::machine::ExecMode;
-use crate::observer::{EvalObserver, NoopObserver};
+use crate::batch::evaluate_batch_stream;
 use crate::stats::EvalStats;
-use smoqe_automata::compile::CompiledMfa;
 use smoqe_automata::Mfa;
 use smoqe_xml::{Vocabulary, XmlError};
 use std::io::BufRead;
@@ -58,85 +51,17 @@ pub struct StreamOptions {
     pub want_xml: bool,
 }
 
-/// Evaluates `mfa` over the XML text arriving from `reader`.
+/// Evaluates `mfa` over the XML text arriving from `reader` (compiling
+/// the plan on the fly; the engine's streaming path runs cached plans
+/// through [`crate::batch::evaluate_batch_stream_plans_budgeted`] with one
+/// lane).
 pub fn evaluate_stream<R: BufRead>(
     reader: R,
     mfa: &Mfa,
     vocab: &Vocabulary,
     options: StreamOptions,
 ) -> Result<StreamOutcome, XmlError> {
-    evaluate_stream_with(reader, mfa, vocab, options, &mut NoopObserver)
-}
-
-/// Evaluates `mfa` over a string slice (convenience).
-pub fn evaluate_stream_str(
-    input: &str,
-    mfa: &Mfa,
-    vocab: &Vocabulary,
-    options: StreamOptions,
-) -> Result<StreamOutcome, XmlError> {
-    evaluate_stream(input.as_bytes(), mfa, vocab, options)
-}
-
-/// Full-control variant with an observer.
-pub fn evaluate_stream_with<R: BufRead>(
-    reader: R,
-    mfa: &Mfa,
-    vocab: &Vocabulary,
-    options: StreamOptions,
-    observer: &mut dyn EvalObserver,
-) -> Result<StreamOutcome, XmlError> {
-    let mut observers: [&mut dyn EvalObserver; 1] = [observer];
-    let out = evaluate_batch_stream_with(reader, &[mfa], vocab, options, &mut observers)?;
-    Ok(out
-        .outcomes
-        .into_iter()
-        .next()
-        .expect("one plan in, one outcome out"))
-}
-
-/// Evaluates a precompiled plan — the engine's streaming path. `mode`
-/// selects the dense-table executor or the per-event interpreter.
-pub fn evaluate_stream_plan_with<R: BufRead>(
-    reader: R,
-    plan: &CompiledMfa,
-    vocab: &Vocabulary,
-    options: StreamOptions,
-    mode: ExecMode,
-    observer: &mut dyn EvalObserver,
-) -> Result<StreamOutcome, XmlError> {
-    let mut observers: [&mut dyn EvalObserver; 1] = [observer];
-    let out =
-        evaluate_batch_stream_plans_with(reader, &[(plan, options)], vocab, mode, &mut observers)?;
-    Ok(out
-        .outcomes
-        .into_iter()
-        .next()
-        .expect("one plan in, one outcome out"))
-}
-
-/// [`evaluate_stream_plan_with`] under a [`WorkBudget`] (the 1-lane
-/// special case of [`evaluate_batch_stream_plans_budgeted`]): the scan
-/// checks the budget once per parser event and abandons with the partial
-/// counters when the deadline passes or the cancel token flips.
-pub fn evaluate_stream_plan_budgeted<R: BufRead>(
-    reader: R,
-    plan: &CompiledMfa,
-    vocab: &Vocabulary,
-    options: StreamOptions,
-    mode: ExecMode,
-    observer: &mut dyn EvalObserver,
-    budget: &WorkBudget,
-) -> Result<StreamOutcome, DriverError> {
-    let mut observers: [&mut dyn EvalObserver; 1] = [observer];
-    let out = evaluate_batch_stream_plans_budgeted(
-        reader,
-        &[(plan, options)],
-        vocab,
-        mode,
-        &mut observers,
-        budget,
-    )?;
+    let out = evaluate_batch_stream(reader, &[mfa], vocab, options)?;
     Ok(out
         .outcomes
         .into_iter()
@@ -158,7 +83,13 @@ mod tests {
         let path = parse_path(query, &vocab).unwrap();
         let mfa = compile(&path, &vocab);
         let (dom_answers, _) = evaluate_mfa(&doc, &mfa);
-        let out = evaluate_stream_str(xml, &mfa, &vocab, StreamOptions { want_xml: true }).unwrap();
+        let out = evaluate_stream(
+            xml.as_bytes(),
+            &mfa,
+            &vocab,
+            StreamOptions { want_xml: true },
+        )
+        .unwrap();
         let dom_ids: Vec<u32> = dom_answers.iter().map(|n| n.0).collect();
         assert_eq!(out.answers, dom_ids, "query `{query}` on `{xml}`");
         // The serialized answers must match DOM subtree serialization.
@@ -252,7 +183,13 @@ mod tests {
         let vocab = Vocabulary::new();
         let p = parse_path("a", &vocab).unwrap();
         let mfa = compile(&p, &vocab);
-        assert!(evaluate_stream_str("<a><b></a>", &mfa, &vocab, StreamOptions::default()).is_err());
+        assert!(evaluate_stream(
+            "<a><b></a>".as_bytes(),
+            &mfa,
+            &vocab,
+            StreamOptions::default()
+        )
+        .is_err());
     }
 
     #[test]

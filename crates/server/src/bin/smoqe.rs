@@ -328,7 +328,6 @@ fn repeat_count(args: &Args) -> Result<usize, Box<dyn std::error::Error>> {
 fn mode_name(mode: ExecMode) -> &'static str {
     match mode {
         ExecMode::Compiled => "scan",
-        ExecMode::Interpreted => "interpreted",
         ExecMode::Jump => "jump",
     }
 }

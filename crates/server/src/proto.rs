@@ -886,10 +886,11 @@ impl Request {
 // Wire views of engine results
 // ---------------------------------------------------------------------------
 
+/// Mode bytes on the wire. Code 1 belonged to a retired execution mode
+/// and is now a decode error; 0 and 2 keep their values.
 fn mode_to_u8(mode: ExecMode) -> u8 {
     match mode {
         ExecMode::Compiled => 0,
-        ExecMode::Interpreted => 1,
         ExecMode::Jump => 2,
     }
 }
@@ -897,7 +898,6 @@ fn mode_to_u8(mode: ExecMode) -> u8 {
 fn mode_from_u8(v: u8) -> Result<ExecMode, ProtoError> {
     match v {
         0 => Ok(ExecMode::Compiled),
-        1 => Ok(ExecMode::Interpreted),
         2 => Ok(ExecMode::Jump),
         _ => Err(ProtoError),
     }
@@ -1556,6 +1556,17 @@ mod tests {
         assert_eq!(frame.request_id, 7);
         let back = Response::decode(frame.op, &frame.payload).unwrap();
         assert_eq!(back, resp);
+    }
+
+    #[test]
+    fn mode_bytes_keep_their_codes_and_reject_the_retired_one() {
+        for mode in [ExecMode::Compiled, ExecMode::Jump] {
+            assert_eq!(mode_from_u8(mode_to_u8(mode)), Ok(mode));
+        }
+        assert_eq!(mode_to_u8(ExecMode::Compiled), 0);
+        assert_eq!(mode_to_u8(ExecMode::Jump), 2);
+        assert_eq!(mode_from_u8(1), Err(ProtoError));
+        assert_eq!(mode_from_u8(3), Err(ProtoError));
     }
 
     #[test]

@@ -170,6 +170,21 @@ impl Job {
     fn doomed(&self, now: Instant) -> bool {
         self.deadline.is_some_and(|d| d <= now) || self.cancel.load(Ordering::Relaxed)
     }
+
+    /// Answers the job. The tenant's inflight slot is released *before*
+    /// the response is written, so a client that has read its answer
+    /// never sees its own request still counted in `Stats`.
+    fn answer(self, shared: &Arc<Shared>, response: Response, outcome: Option<Outcome>) {
+        let Job {
+            ctx,
+            out,
+            admitted,
+            _slot: slot,
+            ..
+        } = self;
+        drop(slot);
+        finish_with(shared, &ctx, &out, admitted, response, outcome);
+    }
 }
 
 /// The write half of a connection, shared between its reader thread and
@@ -524,14 +539,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             } else {
                 Response::deadline_exceeded()
             };
-            finish_with(
-                shared,
-                &doomed.ctx,
-                &doomed.out,
-                doomed.admitted,
-                response,
-                Some(Outcome::Shed),
-            );
+            doomed.answer(shared, response, Some(Outcome::Shed));
         }
         let Some(job) = job else {
             if drained {
@@ -547,7 +555,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 message: "internal error".to_string(),
             },
         };
-        finish(shared, &job.ctx, &job.out, job.admitted, response);
+        job.answer(shared, response, None);
     }
 }
 

@@ -12,9 +12,9 @@ use rand::SeedableRng;
 use smoqe::workloads::hospital;
 use smoqe::{DocumentMode, Engine, EngineConfig, User};
 use smoqe_automata::{compile, Mfa};
-use smoqe_hype::batch::evaluate_batch_stream_str;
+use smoqe_hype::batch::evaluate_batch_stream;
 use smoqe_hype::dom::evaluate_mfa;
-use smoqe_hype::stream::{evaluate_stream_str, StreamOptions};
+use smoqe_hype::stream::{evaluate_stream, StreamOptions};
 use smoqe_rxpath::random::{random_path, QueryGenConfig};
 use smoqe_xml::stax::{PullParser, XmlEvent};
 use smoqe_xml::Vocabulary;
@@ -57,7 +57,8 @@ fn thirty_two_random_queries_agree_across_all_modes_in_one_scan() {
     let mfas: Vec<Mfa> = paths.iter().map(|p| compile(p, &vocab)).collect();
     let plans: Vec<&Mfa> = mfas.iter().collect();
 
-    let batch = evaluate_batch_stream_str(&xml, &plans, &vocab, StreamOptions::default()).unwrap();
+    let batch =
+        evaluate_batch_stream(xml.as_bytes(), &plans, &vocab, StreamOptions::default()).unwrap();
     assert_eq!(batch.outcomes.len(), 32);
 
     // One scan for the whole batch: exactly one document's event count.
@@ -73,7 +74,8 @@ fn thirty_two_random_queries_agree_across_all_modes_in_one_scan() {
         let (dom, _) = evaluate_mfa(&doc, &mfas[i]);
         let dom_ids: Vec<u32> = dom.iter().map(|n| n.0).collect();
         // Serial stream: its own full scan.
-        let serial = evaluate_stream_str(&xml, &mfas[i], &vocab, StreamOptions::default()).unwrap();
+        let serial =
+            evaluate_stream(xml.as_bytes(), &mfas[i], &vocab, StreamOptions::default()).unwrap();
         assert_eq!(serial.answers, dom_ids, "serial stream vs DOM on `{q}`");
         assert_eq!(serial.events, batch.events, "serial scan length `{q}`");
         // Batched: same answers without a scan of its own.

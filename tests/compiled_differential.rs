@@ -1,10 +1,10 @@
 //! Differential suite for the compiled evaluation plans: on random
 //! documents × random Regular XPath queries, the dense-table executor
-//! ([`ExecMode::Compiled`]) and the per-event NFA interpreter
-//! ([`ExecMode::Interpreted`]) must produce **identical answers and
-//! identical skip/event counts** in DOM mode (with and without TAX
-//! pruning), stream mode, and batch mode — and both must agree with the
-//! naive reference evaluator.
+//! must agree with the naive reference evaluator in DOM mode (with and
+//! without TAX pruning), stream mode, and batch mode. Buffered answer
+//! XML must equal the DOM serialization of the naive answers, and the
+//! counters must respect the invariants TAX pruning and scan sharing
+//! promise.
 
 use proptest::prelude::*;
 use smoqe::workloads::hospital;
@@ -12,11 +12,12 @@ use smoqe_automata::compile::CompiledMfa;
 use smoqe_automata::{compile, optimize::optimize};
 use smoqe_hype::batch::evaluate_batch_stream_plans;
 use smoqe_hype::dom::{evaluate_mfa_plan, DomOptions};
-use smoqe_hype::stream::{evaluate_stream_plan_with, StreamOptions};
+use smoqe_hype::stream::StreamOptions;
 use smoqe_hype::{ExecMode, NoopObserver};
 use smoqe_rxpath::random::{random_path, QueryGenConfig};
 use smoqe_rxpath::{evaluate as naive, parse_path};
 use smoqe_tax::TaxIndex;
+use smoqe_xml::serialize::subtree_to_string;
 use smoqe_xml::{Document, NodeId, Vocabulary};
 
 /// One prepared document + query-generation config per RNG seed.
@@ -47,7 +48,7 @@ proptest! {
     })]
 
     #[test]
-    fn compiled_equals_interpreted_everywhere(
+    fn compiled_equals_naive_everywhere(
         doc_seed in 0u64..6,
         query_seed in 0u64..10_000,
         optimized in 0u64..2,
@@ -70,77 +71,52 @@ proptest! {
         let plan = CompiledMfa::compile(&mfa);
         let expected = naive(&doc, &path);
 
-        // DOM mode, with and without TAX pruning: identical answers AND
-        // identical traversal/skip counters.
-        for tax_opt in [None, Some(&tax)] {
-            let options = DomOptions { tax: tax_opt };
-            let (a_c, s_c) =
-                evaluate_mfa_plan(&doc, &plan, &options, ExecMode::Compiled, &mut NoopObserver);
-            let (a_i, s_i) =
-                evaluate_mfa_plan(&doc, &plan, &options, ExecMode::Interpreted, &mut NoopObserver);
-            prop_assert_eq!(&a_c, &expected, "compiled/DOM vs naive on `{}`", printed);
-            prop_assert_eq!(&a_i, &expected, "interpreted/DOM vs naive on `{}`", printed);
-            prop_assert_eq!(
-                s_c.nodes_visited, s_i.nodes_visited,
-                "visited nodes diverged on `{}` (tax={})", printed, tax_opt.is_some()
-            );
-            prop_assert_eq!(
-                s_c.subtrees_skipped_dead, s_i.subtrees_skipped_dead,
-                "dead-run skips diverged on `{}`", printed
-            );
-            prop_assert_eq!(
-                s_c.subtrees_pruned_tax, s_i.subtrees_pruned_tax,
-                "TAX prunes diverged on `{}`", printed
-            );
-            prop_assert_eq!(
-                s_c.immediate_answers, s_i.immediate_answers,
-                "immediate answers diverged on `{}`", printed
-            );
-        }
-
-        // Stream mode: identical answers and event counts.
-        let stream = |mode| {
-            evaluate_stream_plan_with(
-                xml.as_bytes(),
-                &plan,
-                &vocab,
-                StreamOptions::default(),
-                mode,
-                &mut NoopObserver,
-            )
-            .unwrap()
+        // DOM mode, with and without TAX pruning: naive answers either
+        // way; pruning only ever removes visits, and never fires without
+        // an index.
+        let dom = |tax: Option<&TaxIndex>| {
+            evaluate_mfa_plan(&doc, &plan, &DomOptions { tax }, ExecMode::Compiled, &mut NoopObserver)
         };
-        let out_c = stream(ExecMode::Compiled);
-        let out_i = stream(ExecMode::Interpreted);
-        let expected_ids: Vec<u32> = expected.iter().map(|n| n.0).collect();
-        prop_assert_eq!(&out_c.answers, &expected_ids, "compiled/stream on `{}`", printed);
-        prop_assert_eq!(&out_i.answers, &expected_ids, "interpreted/stream on `{}`", printed);
-        prop_assert_eq!(out_c.events, out_i.events, "stream events diverged on `{}`", printed);
-        prop_assert_eq!(
-            out_c.stats.nodes_visited, out_i.stats.nodes_visited,
-            "stream visited diverged on `{}`", printed
+        let (a_plain, s_plain) = dom(None);
+        let (a_tax, s_tax) = dom(Some(&tax));
+        prop_assert_eq!(&a_plain, &expected, "DOM vs naive on `{}`", printed);
+        prop_assert_eq!(&a_tax, &expected, "DOM+TAX vs naive on `{}`", printed);
+        prop_assert_eq!(s_plain.subtrees_pruned_tax, 0, "TAX prunes without TAX on `{}`", printed);
+        prop_assert!(
+            s_tax.nodes_visited <= s_plain.nodes_visited,
+            "TAX raised visits {} -> {} on `{}`", s_plain.nodes_visited, s_tax.nodes_visited, printed
         );
 
-        // Batch mode: the same plan twice in one shared scan, both modes.
-        let batch = |mode| {
-            let lanes = [
-                (&plan, StreamOptions::default()),
-                (&plan, StreamOptions { want_xml: true }),
-            ];
-            evaluate_batch_stream_plans(xml.as_bytes(), &lanes, &vocab, mode).unwrap()
-        };
-        let b_c = batch(ExecMode::Compiled);
-        let b_i = batch(ExecMode::Interpreted);
-        prop_assert_eq!(b_c.events, b_i.events, "batch events diverged on `{}`", printed);
-        for (lane_c, lane_i) in b_c.outcomes.iter().zip(&b_i.outcomes) {
-            prop_assert_eq!(&lane_c.answers, &expected_ids, "compiled/batch on `{}`", printed);
-            prop_assert_eq!(&lane_i.answers, &expected_ids, "interpreted/batch on `{}`", printed);
+        // Stream mode (one lane) and batch mode (the same plan twice in
+        // one shared scan, one lane buffering XML): naive answers, and
+        // every lane reports the events of the one scan.
+        let expected_ids: Vec<u32> = expected.iter().map(|n| n.0).collect();
+        let single = evaluate_batch_stream_plans(
+            xml.as_bytes(),
+            &[(&plan, StreamOptions::default())],
+            &vocab,
+            ExecMode::Compiled,
+        )
+        .unwrap();
+        prop_assert_eq!(&single.outcomes[0].answers, &expected_ids, "stream on `{}`", printed);
+        let lanes = [
+            (&plan, StreamOptions::default()),
+            (&plan, StreamOptions { want_xml: true }),
+        ];
+        let batch = evaluate_batch_stream_plans(xml.as_bytes(), &lanes, &vocab, ExecMode::Compiled)
+            .unwrap();
+        prop_assert_eq!(single.events, batch.events, "stream vs batch events on `{}`", printed);
+        for lane in &batch.outcomes {
+            prop_assert_eq!(&lane.answers, &expected_ids, "batch on `{}`", printed);
+            prop_assert_eq!(lane.events, batch.events, "lane events on `{}`", printed);
         }
-        // The XML-buffering lane must serialize identically in both modes.
+        // The XML-buffering lane must serialize each answer exactly as
+        // the DOM serializer does.
+        let want_xml: Vec<String> = expected.iter().map(|n| subtree_to_string(&doc, n)).collect();
         prop_assert_eq!(
-            b_c.outcomes[1].answer_xml.as_ref(),
-            b_i.outcomes[1].answer_xml.as_ref(),
-            "buffered answer XML diverged on `{}`",
+            batch.outcomes[1].answer_xml.as_ref(),
+            Some(&want_xml),
+            "buffered answer XML vs DOM serialization on `{}`",
             printed
         );
     }

@@ -6,7 +6,7 @@
 use smoqe::workloads::{hospital, org};
 use smoqe_automata::{compile, optimize::optimize};
 use smoqe_hype::dom::{evaluate_mfa_with, DomOptions};
-use smoqe_hype::stream::{evaluate_stream_str, StreamOptions};
+use smoqe_hype::stream::{evaluate_stream, StreamOptions};
 use smoqe_hype::{evaluate_mfa_twopass, NoopObserver};
 use smoqe_rxpath::{evaluate as naive, parse_path};
 use smoqe_tax::TaxIndex;
@@ -38,7 +38,7 @@ fn check_all_engines(doc: &Document, vocab: &Vocabulary, query: &str) {
             "HyPE/TAX differs (`{query}`, opt={optimized})"
         );
         // Stream.
-        let out = evaluate_stream_str(&xml, &mfa, vocab, StreamOptions::default()).unwrap();
+        let out = evaluate_stream(xml.as_bytes(), &mfa, vocab, StreamOptions::default()).unwrap();
         let stream_nodes: Vec<NodeId> = out.answers.into_iter().map(NodeId).collect();
         assert_eq!(
             stream_nodes,

@@ -1,8 +1,7 @@
 //! Differential suite for jump-scan evaluation: on random documents ×
 //! random Regular XPath queries, the jump driver ([`ExecMode::Jump`])
 //! must produce **identical answers** to the dense-table scan walker
-//! ([`ExecMode::Compiled`]) and the per-event interpreter
-//! ([`ExecMode::Interpreted`]) — all agreeing with the naive reference
+//! ([`ExecMode::Compiled`]) — both agreeing with the naive reference
 //! evaluator — while entering **no more nodes** than the scan walker.
 //! Plans the jump driver cannot execute (predicates, no DFA) must fall
 //! back transparently.
@@ -57,7 +56,7 @@ proptest! {
     })]
 
     #[test]
-    fn jump_equals_compiled_equals_interpreted(
+    fn jump_equals_compiled_equals_naive(
         doc_seed in 0u64..6,
         query_seed in 0u64..10_000,
         optimized in 0u64..2,
@@ -83,10 +82,8 @@ proptest! {
         let run = |mode| evaluate_mfa_plan(&doc, &plan, &options, mode, &mut NoopObserver);
         let (a_jump, s_jump) = run(ExecMode::Jump);
         let (a_scan, s_scan) = run(ExecMode::Compiled);
-        let (a_interp, _) = run(ExecMode::Interpreted);
         prop_assert_eq!(&a_jump, &expected, "jump vs naive on `{}`", printed);
         prop_assert_eq!(&a_scan, &expected, "compiled vs naive on `{}`", printed);
-        prop_assert_eq!(&a_interp, &expected, "interpreted vs naive on `{}`", printed);
         prop_assert!(
             s_jump.nodes_visited <= s_scan.nodes_visited,
             "jump visited {} > scan {} on `{}` (eligible: {})",
@@ -189,10 +186,8 @@ proptest! {
         let run = |mode| evaluate_mfa_plan(&doc, &plan, &options, mode, &mut NoopObserver);
         let (a_jump, s_jump) = run(ExecMode::Jump);
         let (a_scan, s_scan) = run(ExecMode::Compiled);
-        let (a_interp, _) = run(ExecMode::Interpreted);
         prop_assert_eq!(&a_jump, &expected, "jump vs naive after updates, `{}`", printed);
         prop_assert_eq!(&a_scan, &expected, "compiled vs naive after updates, `{}`", printed);
-        prop_assert_eq!(&a_interp, &expected, "interpreted vs naive after updates, `{}`", printed);
         prop_assert!(
             s_jump.nodes_visited <= s_scan.nodes_visited,
             "jump visited {} > scan {} on `{}`",

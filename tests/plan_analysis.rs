@@ -4,9 +4,8 @@
 //! `required_labels` and the closures for every machine — so a batch of N
 //! identical queries paid the analysis N times.
 //!
-//! This file holds exactly one test on purpose: it reads the process-wide
-//! `analysis_runs` counter, and unrelated tests compiling plans in
-//! parallel threads would make deltas meaningless.
+//! `analysis_runs` counts compilations on the calling thread, and
+//! `query_batch` compiles its plans there.
 
 use smoqe::workloads::hospital;
 use smoqe::{Engine, User};

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use smoqe::workloads::hospital;
 use smoqe_automata::{compile, optimize::optimize};
 use smoqe_hype::dom::{evaluate_mfa_with, DomOptions};
-use smoqe_hype::stream::{evaluate_stream_str, StreamOptions};
+use smoqe_hype::stream::{evaluate_stream, StreamOptions};
 use smoqe_hype::{evaluate_mfa_twopass, NoopObserver};
 use smoqe_rxpath::random::{random_path, QueryGenConfig};
 use smoqe_rxpath::{evaluate as naive, parse_path};
@@ -86,7 +86,7 @@ proptest! {
         prop_assert_eq!(&two, &expected, "two-pass, query {}", path.display(&vocab));
 
         let xml = doc.to_xml();
-        let stream = evaluate_stream_str(&xml, &mfa, &vocab, StreamOptions::default()).unwrap();
+        let stream = evaluate_stream(xml.as_bytes(), &mfa, &vocab, StreamOptions::default()).unwrap();
         let stream_nodes: Vec<NodeId> = stream.answers.into_iter().map(NodeId).collect();
         prop_assert_eq!(stream_nodes.as_slice(), expected.as_slice(),
             "stream, query {}", path.display(&vocab));

@@ -424,6 +424,37 @@ fn stats_are_scoped_per_principal() {
     handle.join();
 }
 
+/// A worker releases the request's inflight slot before writing the
+/// answer, so a client that has read its answer never finds its own
+/// request still in flight — on its own connection or another one.
+#[test]
+fn a_read_answer_no_longer_holds_its_inflight_slot() {
+    let (handle, _engine) = start_server(ServerConfig {
+        default_quota: TenantQuota::unlimited(),
+        control_quota: TenantQuota::unlimited(),
+        ..ServerConfig::default()
+    });
+    let mut group = researcher(&handle);
+    let mut admin = connect(&handle);
+    admin.hello("wards", Principal::Admin).unwrap();
+    for round in 0..300 {
+        admin.query("//medication").unwrap();
+        assert_eq!(
+            admin.stats(false).unwrap().inflight,
+            0,
+            "admin, round {round}"
+        );
+        group.query("//medication").unwrap();
+        assert_eq!(
+            admin.stats(false).unwrap().inflight,
+            0,
+            "group, round {round}"
+        );
+    }
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn admin_requires_token_when_configured() {
     let (handle, _engine) = start_server(ServerConfig {

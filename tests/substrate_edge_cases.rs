@@ -35,7 +35,8 @@ fn deep_documents_do_not_overflow_any_engine() {
 
     // Streaming over the serialized form.
     let xml = doc.to_xml();
-    let out = smoqe_hype::evaluate_stream_str(&xml, &mfa, &vocab, Default::default()).unwrap();
+    let out =
+        smoqe_hype::evaluate_stream(xml.as_bytes(), &mfa, &vocab, Default::default()).unwrap();
     assert_eq!(out.answers.len(), 1);
 }
 
@@ -54,7 +55,8 @@ fn unicode_text_survives_parse_serialize_query() {
     // And through the streaming evaluator (byte-capped accumulation must
     // respect char boundaries).
     let mfa = smoqe_automata::compile(&q, &vocab);
-    let out = smoqe_hype::evaluate_stream_str(xml, &mfa, &vocab, Default::default()).unwrap();
+    let out =
+        smoqe_hype::evaluate_stream(xml.as_bytes(), &mfa, &vocab, Default::default()).unwrap();
     assert_eq!(out.answers.len(), 1);
 }
 
@@ -154,7 +156,8 @@ fn answers_and_ids_are_stable_between_dom_parse_and_stream_numbering() {
     let q = parse_path("//d", &vocab).unwrap();
     let mfa = smoqe_automata::compile(&q, &vocab);
     let (dom, _) = smoqe_hype::evaluate_mfa(&doc, &mfa);
-    let stream = smoqe_hype::evaluate_stream_str(xml, &mfa, &vocab, Default::default()).unwrap();
+    let stream =
+        smoqe_hype::evaluate_stream(xml.as_bytes(), &mfa, &vocab, Default::default()).unwrap();
     assert_eq!(stream.answers, dom.iter().map(|n| n.0).collect::<Vec<_>>());
     // The id really points at <d> in the DOM.
     let d = smoqe_xml::NodeId(stream.answers[0]);
