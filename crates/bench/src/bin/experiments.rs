@@ -1,5 +1,5 @@
 //! The experiment harness: regenerates every demonstration claim of the
-//! paper as a table on stdout (EXPERIMENTS.md records the outputs).
+//! paper as a table on stdout; `bench` records its series in BENCH.json.
 //!
 //! ```text
 //! cargo run --release -p smoqe-bench --bin experiments            # all

@@ -1,7 +1,7 @@
 //! Shared harness for the SMOQE experiments.
 //!
-//! Each experiment in EXPERIMENTS.md is regenerated by two mechanisms:
-//! the `experiments` binary (paper-style tables on stdout, quick) and the
+//! Each experiment is regenerated by two mechanisms: the `experiments`
+//! binary (paper-style tables on stdout, quick) and the
 //! Criterion benches under `benches/` (rigorous timing). Both build their
 //! workloads through this module so parameters stay consistent.
 

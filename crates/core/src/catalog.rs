@@ -4,8 +4,8 @@
 //! documents, many user groups whose queries are transparently rewritten
 //! against their security views. The catalog is the engine-side realization
 //! of that picture: it maps document *names* to [`DocumentEntry`] values,
-//! each owning its DTD, its raw/stream source, its TAX index and the views
-//! registered for its user groups.
+//! each owning its DTD, its document (the parse of one shared text), its
+//! TAX index and the views registered for its user groups.
 //!
 //! Every entry carries **generation counters**: the document generation is
 //! bumped whenever the DTD or the document itself is replaced, and each
@@ -14,40 +14,66 @@
 //! generations, so replacing a document, its DTD, or a view invalidates
 //! exactly the affected plans without any cross-lock coordination.
 
-use crate::engine::{Answer, Engine, Session, UpdateReport, User};
+use crate::engine::{read_text, Answer, Engine, Session, UpdateReport, User};
 use crate::error::EngineError;
 use crate::sync::{Mutex, RwLock};
 use smoqe_automata::Mfa;
 use smoqe_tax::TaxIndex;
 use smoqe_view::ViewSpec;
-use smoqe_xml::{Document, Dtd};
+use smoqe_xml::{Document, Dtd, XmlError};
 use std::collections::HashMap;
-use std::path::{Path as FsPath, PathBuf};
+use std::path::Path as FsPath;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A loaded document with its streamable backing (if any) and the TAX
-/// index built over exactly this document. Shared out of the entry as one
+/// A loaded document, the one text it was parsed from, and the TAX index
+/// built over exactly this document. Shared out of the entry as one
 /// [`Arc`] snapshot so evaluation never holds entry locks and can never
 /// pair a document with an index built over a different one.
+///
+/// `buffer` is the document's own shared buffer: streaming evaluation,
+/// the WAL and checkpoints all read these bytes, so every consumer of a
+/// snapshot sees the same document.
 pub(crate) struct LoadedSource {
     pub(crate) doc: Arc<Document>,
-    /// Raw XML text for streaming mode — the *same* shared buffer the
-    /// document's span nodes reference (no second copy of the input).
-    pub(crate) raw: Option<Arc<str>>,
-    /// File path (kept when loaded from disk) for streaming mode.
-    pub(crate) path: Option<PathBuf>,
+    /// The text `doc` was parsed from (`doc`'s span nodes point into it).
+    pub(crate) buffer: Arc<str>,
     /// TAX index over `doc`, if built or loaded.
     pub(crate) tax: Option<Arc<TaxIndex>>,
 }
 
 impl LoadedSource {
+    /// Pairs `doc` with its buffer. A document without one (an edit that
+    /// fell back to rebuilding the tree) is serialized and re-parsed
+    /// here, the only place the engine serializes a document to obtain
+    /// its text.
+    pub(crate) fn new(doc: Arc<Document>, tax: Option<Arc<TaxIndex>>) -> Result<Self, EngineError> {
+        let (doc, buffer) = match doc.shared_buffer() {
+            Some(buffer) => (doc, buffer),
+            None => {
+                let buffer: Arc<str> = doc.to_xml().into();
+                let parsed = smoqe_xml::parse_buffer(buffer.clone(), doc.vocabulary())?;
+                // `tax` was patched against the rebuilt tree; it fits the
+                // re-parse only if every node survived. Checked in release
+                // too, since checkpoints persist the index.
+                if parsed.node_count() != doc.node_count() {
+                    return Err(EngineError::Xml(XmlError::Invalid(format!(
+                        "re-parsing an edited document changed its node count ({} to {})",
+                        doc.node_count(),
+                        parsed.node_count()
+                    ))));
+                }
+                (Arc::new(parsed), buffer)
+            }
+        };
+        Ok(LoadedSource { doc, buffer, tax })
+    }
+
     /// The same source with `tax` attached.
     pub(crate) fn with_tax(&self, tax: Arc<TaxIndex>) -> Self {
         LoadedSource {
             doc: self.doc.clone(),
-            raw: self.raw.clone(),
-            path: self.path.clone(),
+            buffer: self.buffer.clone(),
             tax: Some(tax),
         }
     }
@@ -297,18 +323,22 @@ impl DocHandle {
     /// Loads a document from XML text, validating against the DTD when one
     /// is installed. Invalidates cached plans for this document.
     pub fn load_document(&self, xml: &str) -> Result<(), EngineError> {
-        self.engine.load_document_on(&self.entry, xml)
+        self.engine.load_document_on(&self.entry, xml.into())
     }
 
-    /// Loads (and validates) a document from a file.
+    /// Loads (and validates) a document from a file. The file is read
+    /// once; later queries answer from the loaded text, not the file.
     pub fn load_document_file(&self, path: impl AsRef<FsPath>) -> Result<(), EngineError> {
         self.engine
-            .load_document_file_on(&self.entry, path.as_ref())
+            .load_document_on(&self.entry, read_text(path.as_ref())?)
     }
 
-    /// Installs an already-built document (e.g. from the generator).
+    /// Loads an already-built document (e.g. from the generator) as the
+    /// parse of its serialization, validated like any other load. Node
+    /// ids refer to that parse: read them from [`DocHandle::document`].
     pub fn load_document_tree(&self, doc: Document) -> Result<(), EngineError> {
-        self.engine.load_document_tree_on(&self.entry, doc)
+        self.engine
+            .load_document_on(&self.entry, doc.to_xml().into())
     }
 
     /// The loaded document.
@@ -416,5 +446,47 @@ impl DocHandle {
     /// Opens an owned session for `user` on this document.
     pub fn session(&self, user: User) -> Session {
         Session::new(self.engine.clone(), self.entry.clone(), user)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smoqe_xml::{TreeBuilder, Vocabulary};
+
+    /// `<r>{text}<a/></r>`, built without a buffer.
+    fn built(vocab: &Vocabulary, text: &str) -> Arc<Document> {
+        let mut b = TreeBuilder::new(vocab.clone());
+        b.start_element_named("r");
+        b.text(text);
+        b.start_element_named("a");
+        b.end_element();
+        b.end_element();
+        Arc::new(b.finish().unwrap())
+    }
+
+    #[test]
+    fn a_source_holds_the_buffer_its_document_was_parsed_from() {
+        let vocab = Vocabulary::new();
+        let parsed = Arc::new(Document::parse_str("<r>x<a/></r>", &vocab).unwrap());
+        let source = LoadedSource::new(parsed.clone(), None).unwrap();
+        assert!(
+            Arc::ptr_eq(&source.doc, &parsed),
+            "parsed documents are kept"
+        );
+
+        let tree = built(&vocab, "x");
+        let source = LoadedSource::new(tree.clone(), None).unwrap();
+        assert_eq!(&*source.buffer, "<r>x<a/></r>");
+        let own = source.doc.shared_buffer().unwrap();
+        assert!(Arc::ptr_eq(&own, &source.buffer));
+        assert_eq!(source.doc.node_count(), tree.node_count());
+
+        // A whitespace-only text node does not survive the re-parse, so
+        // an index patched against the tree would not fit.
+        assert!(matches!(
+            LoadedSource::new(built(&vocab, " "), None),
+            Err(EngineError::Xml(XmlError::Invalid(_)))
+        ));
     }
 }

@@ -6,8 +6,11 @@ pub enum DocumentMode {
     /// The whole document tree in memory; enables TAX pruning.
     #[default]
     Dom,
-    /// One sequential scan of the serialized document (StAX mode);
-    /// bounded memory, no index.
+    /// Each query is one sequential StAX scan of the document's text
+    /// buffer, with answer subtrees serialized during the scan. The
+    /// engine still holds the parsed document (view rendering, updates
+    /// and the WAL need it), so memory is not bounded by this mode; the
+    /// TAX index and jump evaluation are not used.
     Stream,
 }
 
@@ -29,8 +32,8 @@ pub enum EvalMode {
     Auto,
 }
 
-/// Engine tuning knobs (each is an experiment toggle somewhere in
-/// EXPERIMENTS.md).
+/// Engine tuning knobs (each is an experiment toggle of the `experiments`
+/// binary in `crates/bench`, whose tables print on stdout).
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// DOM or streaming evaluation.

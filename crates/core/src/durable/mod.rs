@@ -368,11 +368,7 @@ impl Engine {
                 let (xml, tax) = match &snapshot {
                     None => (None, Vec::new()),
                     Some(source) => {
-                        let xml = source
-                            .raw
-                            .clone()
-                            .unwrap_or_else(|| Arc::from(source.doc.to_xml()))
-                            .to_string();
+                        let xml = source.buffer.to_string();
                         let mut tax_bytes = Vec::new();
                         if let Some(tax) = &source.tax {
                             tax.save(&mut tax_bytes, self.vocabulary())
@@ -459,7 +455,7 @@ fn restore_checkpoint(engine: &Arc<Engine>, ckpt: &Checkpoint) -> Result<(), Eng
         // re-validate in `load_document_on` and refuse that live-legal
         // state on every boot.
         if let Some(xml) = &doc.xml {
-            engine.load_document_on(&entry, xml)?;
+            engine.load_document_on(&entry, xml.as_str().into())?;
         }
         if let Some(dtd) = &doc.dtd {
             engine.load_dtd_on(&entry, dtd)?;
@@ -500,7 +496,7 @@ fn replay_record(engine: &Arc<Engine>, op: &WalOp) -> Result<(), EngineError> {
             engine.load_dtd_on(&engine.catalog().entry_or_create(doc), text)
         }
         WalOp::LoadDocument { doc, xml } => {
-            engine.load_document_on(&engine.catalog().entry_or_create(doc), xml)
+            engine.load_document_on(&engine.catalog().entry_or_create(doc), xml.as_str().into())
         }
         WalOp::RegisterPolicy { doc, group, text } => {
             engine.register_policy_on(&engine.catalog().entry_or_create(doc), group, text)

@@ -33,8 +33,8 @@ use smoqe_update::{parse_update, UpdateError};
 use smoqe_view::{
     derive, materialize, materialize_fragment, AccessPolicy, MaterializedView, ViewSpec,
 };
-use smoqe_xml::{Document, Dtd, NodeId, Vocabulary};
-use std::path::{Path as FsPath, PathBuf};
+use smoqe_xml::{Document, Dtd, NodeId, Vocabulary, XmlError};
+use std::path::Path as FsPath;
 use std::sync::Arc;
 
 /// The catalog name used by the single-document convenience methods
@@ -113,7 +113,7 @@ impl Answer {
     /// Serializes each answer's **raw source subtree** using `doc`.
     ///
     /// Intended for admin-level inspection; view users should go through
-    /// [`Session::query_xml`], which filters hidden descendants.
+    /// [`Session::query_serialized`], which filters hidden descendants.
     pub fn serialize_with(&self, doc: &Document) -> Vec<String> {
         self.nodes
             .iter()
@@ -355,18 +355,20 @@ impl Engine {
     /// Loads the default document from XML text, validating against the
     /// DTD when one is installed.
     pub fn load_document(&self, xml: &str) -> Result<(), EngineError> {
-        self.load_document_on(&self.default_entry(), xml)
+        self.load_document_on(&self.default_entry(), xml.into())
     }
 
-    /// Loads (and validates) the default document from a file.
+    /// Loads (and validates) the default document from a file, read once
+    /// (see [`DocHandle::load_document_file`]).
     pub fn load_document_file(&self, path: impl AsRef<FsPath>) -> Result<(), EngineError> {
-        self.load_document_file_on(&self.default_entry(), path.as_ref())
+        self.load_document_on(&self.default_entry(), read_text(path.as_ref())?)
     }
 
-    /// Installs an already-built default document (e.g. from the
-    /// generator).
+    /// Loads an already-built default document (e.g. from the generator)
+    /// as the parse of its serialization (see
+    /// [`DocHandle::load_document_tree`]).
     pub fn load_document_tree(&self, doc: Document) -> Result<(), EngineError> {
-        self.load_document_tree_on(&self.default_entry(), doc)
+        self.load_document_on(&self.default_entry(), doc.to_xml().into())
     }
 
     /// The loaded default document.
@@ -515,77 +517,35 @@ impl Engine {
         Ok(())
     }
 
-    fn install_document(
-        &self,
-        entry: &Arc<DocumentEntry>,
-        doc: Document,
-        raw: Option<Arc<str>>,
-        path: Option<PathBuf>,
-        log_xml: Arc<str>,
-    ) -> Result<(), EngineError> {
-        // A fresh source carries no TAX index (the old one described the
-        // old document) and invalidates the cached plans. The WAL record
-        // goes first, under the same write lock that orders installs, so
-        // log order and install order can never disagree.
-        let _writer = entry.write_serial.lock();
-        self.durable_log(WalOp::LoadDocument {
-            doc: entry.name().to_string(),
-            xml: log_xml.to_string(),
-        })?;
-        *entry.source.write() = Some(Arc::new(LoadedSource {
-            doc: Arc::new(doc),
-            raw,
-            path,
-            tax: None,
-        }));
-        entry.bump_generation();
-        self.plans.purge_document(entry.name());
-        Ok(())
-    }
-
+    /// The one document loader: parses `text`, validates the parse
+    /// against the entry's DTD, logs that same text and installs the
+    /// parse. Every public loader, checkpoint restore and WAL replay come
+    /// through here, so an installed document is always the parse of the
+    /// one buffer that streams, logs and checkpoints read.
     pub(crate) fn load_document_on(
         &self,
         entry: &Arc<DocumentEntry>,
-        xml: &str,
+        text: Arc<str>,
     ) -> Result<(), EngineError> {
-        let doc = Document::parse_str(xml, &self.vocab)?;
+        let source =
+            LoadedSource::new(Arc::new(smoqe_xml::parse_buffer(text, &self.vocab)?), None)?;
+        // A fresh source carries no TAX index (the old one described the
+        // old document) and invalidates the cached plans. Validation, the
+        // WAL record and the install all happen under the write lock that
+        // orders DTD swaps and installs, so the log never holds a
+        // document its preceding DTD record would refuse on replay.
+        let _writer = entry.write_serial.lock();
         if let Some(dtd) = entry.dtd.read().clone() {
-            dtd.validate(&doc)?;
+            dtd.validate(&source.doc)?;
         }
-        // Streaming mode reads the document's own shared buffer — the
-        // input is held exactly once.
-        let raw = doc.shared_buffer();
-        let log_xml = raw.clone().unwrap_or_else(|| Arc::from(xml));
-        self.install_document(entry, doc, raw, None, log_xml)
-    }
-
-    pub(crate) fn load_document_file_on(
-        &self,
-        entry: &Arc<DocumentEntry>,
-        path: &FsPath,
-    ) -> Result<(), EngineError> {
-        let path = path.to_path_buf();
-        let doc = smoqe_xml::parse_file(&path, &self.vocab)?;
-        if let Some(dtd) = entry.dtd.read().clone() {
-            dtd.validate(&doc)?;
-        }
-        let log_xml = doc
-            .shared_buffer()
-            .unwrap_or_else(|| Arc::from(doc.to_xml()));
-        self.install_document(entry, doc, None, Some(path), log_xml)
-    }
-
-    pub(crate) fn load_document_tree_on(
-        &self,
-        entry: &Arc<DocumentEntry>,
-        doc: Document,
-    ) -> Result<(), EngineError> {
-        // Parsed documents already hold their source; programmatically
-        // built trees serialize once to obtain a streamable buffer.
-        let raw = doc
-            .shared_buffer()
-            .unwrap_or_else(|| Arc::from(doc.to_xml()));
-        self.install_document(entry, doc, Some(raw.clone()), None, raw)
+        self.durable_log(WalOp::LoadDocument {
+            doc: entry.name().to_string(),
+            xml: source.buffer.to_string(),
+        })?;
+        *entry.source.write() = Some(Arc::new(source));
+        entry.bump_generation();
+        self.plans.purge_document(entry.name());
+        Ok(())
     }
 
     pub(crate) fn build_tax_index_on(
@@ -660,6 +620,16 @@ impl Engine {
     ) -> Result<(), EngineError> {
         let snapshot = entry.snapshot()?;
         let mut tax = TaxIndex::load_from_file(path, &self.vocab)?;
+        // The file is outside input: an index over another document would
+        // answer wrongly or index past the end. The format carries no
+        // document fingerprint, so the node count is the check there is.
+        if tax.node_count() != snapshot.doc.node_count() {
+            return Err(EngineError::Xml(XmlError::Invalid(format!(
+                "TAX index covers {} nodes, the document has {}",
+                tax.node_count(),
+                snapshot.doc.node_count()
+            ))));
+        }
         // The on-disk format carries the descendant sets only; rebuild
         // the positional label index from the live document so jump-scan
         // evaluation works for loaded indexes too.
@@ -935,10 +905,8 @@ impl Engine {
             })?;
         }
         // Buffer-spliced updates leave the new document holding its own
-        // serialized source; rebuild-path updates serialize once here.
-        let raw = doc
-            .shared_buffer()
-            .unwrap_or_else(|| Arc::from(doc.to_xml()));
+        // text; `LoadedSource::new` re-parses the rare rebuilt one.
+        let source = LoadedSource::new(doc, tax)?;
         // Write-ahead: the accepted transaction is logged (statement
         // texts + acting principal) before the snapshot is installed. A
         // crash after this point recovers *with* the transaction; before
@@ -951,12 +919,7 @@ impl Engine {
             },
             statements: updates.iter().map(|s| s.to_string()).collect(),
         })?;
-        *entry.source.write() = Some(Arc::new(LoadedSource {
-            doc,
-            raw: Some(raw),
-            path: None,
-            tax,
-        }));
+        *entry.source.write() = Some(Arc::new(source));
         entry.bump_generation();
         if !entry.is_dropped() {
             // Dropped entries have no plans in the cache (and purging by
@@ -1221,9 +1184,9 @@ impl Engine {
         }
     }
 
-    /// Runs `plans` over one sequential scan of the snapshot's serialized
-    /// form: the backing file when the document was loaded from one,
-    /// otherwise the in-memory buffer.
+    /// Runs `plans` over one sequential scan of the snapshot's buffer —
+    /// the text its document was parsed from, so streamed node ids are
+    /// the snapshot's DOM ids.
     fn scan_source(
         &self,
         source: &LoadedSource,
@@ -1231,28 +1194,20 @@ impl Engine {
         observers: &mut [&mut dyn EvalObserver],
         budget: &WorkBudget,
     ) -> Result<BatchOutcome, EngineError> {
-        let outcome = if let Some(path) = &source.path {
-            let file = std::fs::File::open(path).map_err(smoqe_xml::XmlError::Io)?;
-            evaluate_batch_stream_plans_budgeted(
-                std::io::BufReader::new(file),
-                plans,
-                &self.vocab,
-                observers,
-                budget,
-            )
-        } else if let Some(raw) = &source.raw {
-            evaluate_batch_stream_plans_budgeted(
-                raw.as_bytes(),
-                plans,
-                &self.vocab,
-                observers,
-                budget,
-            )
-        } else {
-            return Err(EngineError::NoStreamSource);
-        };
-        outcome.map_err(driver_error)
+        evaluate_batch_stream_plans_budgeted(
+            source.buffer.as_bytes(),
+            plans,
+            &self.vocab,
+            observers,
+            budget,
+        )
+        .map_err(driver_error)
     }
+}
+
+/// Reads a document file into the buffer the loader parses.
+pub(crate) fn read_text(path: &FsPath) -> Result<Arc<str>, EngineError> {
+    Ok(std::fs::read_to_string(path).map_err(XmlError::Io)?.into())
 }
 
 /// Maps a streaming-driver failure onto the engine error surface: parse
@@ -1378,7 +1333,7 @@ impl Session {
 
     /// [`Session::query_batch`] under a [`WorkBudget`] shared by every
     /// plan in the batch (one scan, one deadline).
-    pub fn query_batch_budgeted(
+    fn query_batch_budgeted(
         &self,
         queries: &[&str],
         budget: &WorkBudget,
@@ -1408,9 +1363,8 @@ impl Session {
     /// this principal**: raw source subtrees for admin sessions, the view
     /// image (hidden descendants filtered) for group sessions — the
     /// answer and its serialization come from one source snapshot. This
-    /// is the evaluation the network server runs for the `Query` op: a
-    /// remote client only ever receives what [`Session::query_xml`] would
-    /// have shown it.
+    /// is the evaluation the network server runs for the `Query` op, so a
+    /// remote client and a local caller see the same bytes.
     pub fn query_serialized(&self, query: &str) -> Result<Answer, EngineError> {
         self.query_serialized_budgeted(query, &WorkBudget::unlimited())
     }
@@ -1499,20 +1453,6 @@ impl Session {
     pub fn update_batch(&self, updates: &[&str]) -> Result<Vec<UpdateReport>, EngineError> {
         self.engine
             .apply_updates_on(&self.entry, &self.user, updates)
-    }
-
-    /// Answers a query and serializes each answer **safely for this
-    /// session**: admin sessions get the raw source subtrees, group
-    /// sessions get the *view image* of each answer node (hidden
-    /// descendants filtered out — serializing the raw subtree would leak
-    /// them).
-    pub fn query_xml(&self, query: &str) -> Result<Vec<String>, EngineError> {
-        let (answer, source) =
-            self.query_with_source(query, &mut NoopObserver, &WorkBudget::unlimited())?;
-        match &self.user {
-            User::Admin => Ok(answer.serialize_with(&source.doc)),
-            User::Group(g) => render_view_xml(&self.entry, g, &source, &answer.nodes),
-        }
     }
 }
 

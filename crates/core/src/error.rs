@@ -21,8 +21,6 @@ pub enum EngineError {
     UnknownGroup(String),
     /// Direct document access requested without admin rights.
     AccessDenied,
-    /// Streaming evaluation requested but no streamable source exists.
-    NoStreamSource,
     /// A batched evaluation mixed sessions of different documents or
     /// engines — one scan can only serve one document.
     BatchMismatch,
@@ -54,6 +52,8 @@ impl EngineError {
     /// logs: serializers must never string-match `Display` output (which
     /// is free to change) to recover the variant. Codes are part of the
     /// protocol contract and never renumbered — new variants append.
+    /// Retired codes are never reused: 9 was `no_stream_source`, which
+    /// became unreachable once every document streams its own buffer.
     ///
     /// [`EngineError::UpdateDenied`] deliberately maps hidden,
     /// conditionally-hidden and non-existent targets to **one** code with
@@ -69,7 +69,6 @@ impl EngineError {
             EngineError::UnknownDocument(_) => 6,
             EngineError::UnknownGroup(_) => 7,
             EngineError::AccessDenied => 8,
-            EngineError::NoStreamSource => 9,
             EngineError::BatchMismatch => 10,
             EngineError::Update(_) => 11,
             EngineError::UpdateDenied => 12,
@@ -91,7 +90,6 @@ impl EngineError {
             EngineError::UnknownDocument(_) => "unknown_document",
             EngineError::UnknownGroup(_) => "unknown_group",
             EngineError::AccessDenied => "access_denied",
-            EngineError::NoStreamSource => "no_stream_source",
             EngineError::BatchMismatch => "batch_mismatch",
             EngineError::Update(_) => "update",
             EngineError::UpdateDenied => "update_denied",
@@ -116,9 +114,6 @@ impl fmt::Display for EngineError {
             EngineError::UnknownGroup(g) => write!(f, "no view registered for group '{g}'"),
             EngineError::AccessDenied => {
                 write!(f, "direct document access requires an admin session")
-            }
-            EngineError::NoStreamSource => {
-                write!(f, "streaming mode requires a file or raw-text source")
             }
             EngineError::BatchMismatch => {
                 write!(
@@ -219,17 +214,29 @@ mod tests {
 
     #[test]
     fn codes_are_distinct_and_stable() {
+        // Every variant, so the retired-code check below covers them all.
         let variants = [
+            EngineError::Xml(smoqe_xml::XmlError::Invalid("x".into())),
+            EngineError::Query(smoqe_rxpath::ParseError::new("q", 0)),
+            EngineError::Policy(smoqe_view::PolicyError::UnknownEdge {
+                parent: "a".into(),
+                child: "b".into(),
+            }),
+            EngineError::View(smoqe_view::ViewError::MissingSigma("a".into(), "b".into())),
             EngineError::NoDocument,
             EngineError::UnknownDocument("d".into()),
             EngineError::UnknownGroup("g".into()),
             EngineError::AccessDenied,
-            EngineError::NoStreamSource,
             EngineError::BatchMismatch,
-            EngineError::UpdateDenied,
             EngineError::Update(smoqe_update::UpdateError::NoTarget),
+            EngineError::UpdateDenied,
+            EngineError::Durability(crate::durable::DurError::Crashed),
+            EngineError::DeadlineExceeded,
+            EngineError::Cancelled,
         ];
         let mut codes: Vec<u16> = variants.iter().map(EngineError::code).collect();
+        // Code 9 is retired; no variant may take it over.
+        assert!(!codes.contains(&9), "retired code 9 reused");
         codes.sort_unstable();
         codes.dedup();
         assert_eq!(codes.len(), variants.len(), "codes must be distinct");
@@ -237,6 +244,7 @@ mod tests {
         assert_eq!(EngineError::UpdateDenied.code(), 12);
         assert_eq!(EngineError::UpdateDenied.code_name(), "update_denied");
         assert_eq!(EngineError::AccessDenied.code(), 8);
+        assert_eq!(EngineError::BatchMismatch.code(), 10);
         let dur = EngineError::Durability(crate::durable::DurError::Crashed);
         assert_eq!(dur.code(), 13);
         assert_eq!(dur.code_name(), "durability");

@@ -456,8 +456,8 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 // evaluation; render them afterwards so --threads N
                 // prints what --threads 1 prints. Admin answers
                 // serialize straight from the already-computed node sets;
-                // group answers go back through query_xml, the only
-                // public path that filters hidden descendants.
+                // group answers go back through query_serialized, which
+                // renders view images with hidden descendants filtered.
                 None => match (&tree, session.user()) {
                     (Some(tree), User::Admin) => {
                         for xml in answer.serialize_with(tree) {
@@ -465,7 +465,7 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                         }
                     }
                     _ => {
-                        for xml in session.query_xml(query)? {
+                        for xml in session.query_serialized(query)?.xml.unwrap_or_default() {
                             println!("{xml}");
                         }
                     }
@@ -505,7 +505,7 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             ""
         },
     );
-    for xml in session.query_xml(query)? {
+    for xml in session.query_serialized(query)?.xml.unwrap_or_default() {
         println!("{xml}");
     }
     if args.switch("explain") {

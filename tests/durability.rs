@@ -341,6 +341,60 @@ fn midlog_corruption_is_refused_with_a_typed_error() {
 /// re-validated would refuse on every boot, making the directory
 /// permanently unrecoverable for state the engine accepted.
 #[test]
+fn a_tree_load_recovers_to_the_live_document() {
+    let dir = TempDir::new("tree-load");
+    let engine = recover(dir.path());
+    // `<r> <a>x</a></r>` with a whitespace-only text node, which a
+    // serialize-and-parse round trip does not keep.
+    let mut b = smoqe_xml::TreeBuilder::new(engine.vocabulary().clone());
+    b.start_element_named("r");
+    b.text(" ");
+    b.start_element_named("a");
+    b.text("x");
+    b.end_element();
+    b.end_element();
+    engine.load_document_tree(b.finish().unwrap()).unwrap();
+    let state = |e: &Arc<Engine>| {
+        let nodes = e.session(User::Admin).query("r/a").unwrap().nodes;
+        (e.document().unwrap().node_count(), nodes)
+    };
+    let live = state(&engine);
+    drop(engine);
+
+    // From the WAL, then from the checkpoint the first boot writes.
+    let recovered = recover(dir.path());
+    assert_eq!(state(&recovered), live, "replayed from the WAL");
+    recovered.checkpoint().unwrap();
+    drop(recovered);
+    assert_eq!(
+        state(&recover(dir.path())),
+        live,
+        "restored from a checkpoint"
+    );
+}
+
+#[test]
+fn a_dtd_violating_tree_is_refused_like_its_text_and_recovery_still_boots() {
+    let dir = TempDir::new("bad-tree");
+    let engine = recover(dir.path());
+    engine.load_dtd(hospital::DTD).unwrap();
+    let bad = "<hospital><bogus/></hospital>";
+    let text_err = engine.load_document(bad).unwrap_err();
+    let tree = smoqe_xml::Document::parse_str(bad, engine.vocabulary()).unwrap();
+    let tree_err = engine.load_document_tree(tree).unwrap_err();
+    assert!(matches!(tree_err, EngineError::Xml(_)), "{tree_err}");
+    assert_eq!(tree_err.to_string(), text_err.to_string());
+    assert!(matches!(engine.document(), Err(EngineError::NoDocument)));
+    engine.load_document(hospital::SAMPLE_DOCUMENT).unwrap();
+    let expected = engine.document().unwrap().to_xml();
+    drop(engine);
+
+    let recovered = Engine::recover(EngineConfig::default(), dir.path())
+        .unwrap_or_else(|e| panic!("recovery refused the log: {e}"));
+    assert_eq!(recovered.document().unwrap().to_xml(), expected);
+}
+
+#[test]
 fn a_document_loaded_before_a_mismatched_dtd_still_recovers() {
     let dir = TempDir::new("dtd-after-doc");
     let engine = recover(dir.path());

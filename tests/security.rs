@@ -47,7 +47,7 @@ fn hidden_text_never_appears_in_serialized_answers() {
     // answer node's *source* subtree contains them.
     let secrets = ["Ann", "Bob", "Cal", "Pat", "blood", "2006-01-11"];
     for (_, q) in hospital::VIEW_QUERIES {
-        for xml in session.query_xml(q).unwrap() {
+        for xml in session.query_serialized(q).unwrap().xml.unwrap() {
             for s in secrets {
                 assert!(
                     !xml.contains(s),
@@ -121,7 +121,7 @@ fn changing_hidden_data_does_not_change_view_answers() {
         let session = e.session(User::Group("g".into()));
         hospital::VIEW_QUERIES
             .iter()
-            .map(|(_, q)| session.query_xml(q).unwrap())
+            .map(|(_, q)| session.query_serialized(q).unwrap().xml.unwrap())
             .collect()
     };
     assert_eq!(answers(&doc_a), answers(&doc_b));

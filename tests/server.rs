@@ -133,6 +133,36 @@ fn concurrent_remote_clients_match_in_process_sessions() {
     handle.join();
 }
 
+#[test]
+fn a_file_loaded_document_keeps_serving_after_its_file_is_deleted() {
+    // The `smoqe-server --doc FILE` set-up: the document comes from a
+    // file, read once at load time.
+    let path = std::env::temp_dir().join(format!("smoqe-server-doc-{}.xml", std::process::id()));
+    std::fs::write(&path, hospital::SAMPLE_DOCUMENT).unwrap();
+    let engine = Engine::with_defaults();
+    let doc = engine.open_document("wards");
+    doc.load_dtd(hospital::DTD).unwrap();
+    doc.load_document_file(&path).unwrap();
+    doc.register_policy(hospital::GROUP, hospital::POLICY)
+        .unwrap();
+    let handle = Server::start(engine, ServerConfig::default()).unwrap();
+    let mut client = researcher(&handle);
+    let queries = ["//medication", "hospital/patient/treatment"];
+    let mut ask = || {
+        let single = client.query(queries[0]).unwrap();
+        let (batch, _events) = client.query_batch(&queries).unwrap();
+        let batch: Vec<_> = batch.into_iter().map(|a| (a.nodes, a.xml)).collect();
+        (single.nodes, single.xml, batch)
+    };
+    let before = ask();
+    assert!(!before.0.is_empty());
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(ask(), before);
+
+    handle.shutdown();
+    handle.join();
+}
+
 // -------------------------------------------------------------------------
 // Admission control
 // -------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 //! at scale, the hand-authored view-spec mode, and configuration toggles.
 
 use smoqe::workloads::{hospital, org};
-use smoqe::{DocumentMode, Engine, EngineConfig, User};
-use smoqe_xml::{generate_to_writer, Vocabulary};
+use smoqe::{DocumentMode, Engine, EngineConfig, EngineError, User};
+use smoqe_xml::{generate_to_writer, Document, NodeId, TreeBuilder, Vocabulary, XmlError};
+use std::sync::Arc;
 
 fn temp_dir() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("smoqe-int-stream");
@@ -45,6 +46,100 @@ fn file_backed_streaming_matches_dom() {
         }
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// `<r> <a>x</a> <a>y</a></r>` built programmatically: its
+/// whitespace-only text nodes do not survive a serialize-and-parse round
+/// trip, so any path that re-parses the tree sees different node ids.
+fn tree_with_blank_text(vocab: &Vocabulary) -> Document {
+    let mut b = TreeBuilder::new(vocab.clone());
+    b.start_element_named("r");
+    for t in ["x", "y"] {
+        b.text(" ");
+        b.start_element_named("a");
+        b.text(t);
+        b.end_element();
+    }
+    b.end_element();
+    b.finish().unwrap()
+}
+
+#[test]
+fn tree_loaded_batch_answers_equal_single_answers() {
+    for config in [EngineConfig::default(), EngineConfig::streaming()] {
+        let e = Engine::new(config);
+        e.load_document_tree(tree_with_blank_text(e.vocabulary()))
+            .unwrap();
+        let admin = e.session(User::Admin);
+        let single = admin.query("r/a").unwrap().nodes;
+        let batch = admin.query_batch(&["r/a"]).unwrap();
+        assert_eq!(batch.answers[0].nodes, single, "{:?}", config.mode);
+        // Both name the installed document's `a` elements.
+        let doc = e.document().unwrap();
+        let a = doc.vocabulary().lookup("a").unwrap();
+        assert_eq!(single, doc.nodes_labeled(a).collect::<Vec<NodeId>>());
+    }
+}
+
+#[test]
+fn file_loaded_documents_answer_from_their_loaded_snapshot() {
+    let path = temp_dir().join(format!("snapshot-{}.xml", std::process::id()));
+    std::fs::write(&path, "<r><a>old</a></r>").unwrap();
+    let stream = Engine::new(EngineConfig::streaming());
+    stream.load_document_file(&path).unwrap();
+    let dom = Engine::with_defaults();
+    dom.load_document_file(&path).unwrap();
+    // (single query, batch) answer XML: stream mode streams both, the DOM
+    // engine streams its batch.
+    let answers = |e: &Arc<Engine>| {
+        let s = e.session(User::Admin);
+        let single = s.query_serialized("r/a").unwrap().xml.unwrap();
+        let mut batch = s.query_batch_serialized(&["r/a"]).unwrap();
+        (single, batch.answers.pop().unwrap().xml.unwrap())
+    };
+    let old = vec!["<a>old</a>".to_string()];
+    std::fs::write(&path, "<r><a>new</a><a>extra</a></r>").unwrap();
+    for e in [&stream, &dom] {
+        assert_eq!(answers(e), (old.clone(), old.clone()), "after overwrite");
+    }
+    std::fs::remove_file(&path).unwrap();
+    for e in [&stream, &dom] {
+        assert_eq!(answers(e), (old.clone(), old.clone()), "after delete");
+        assert_eq!(e.document().unwrap().to_xml(), "<r><a>old</a></r>");
+    }
+}
+
+#[test]
+fn tax_index_files_for_another_document_are_refused() {
+    let small = Engine::with_defaults();
+    small.load_document("<r><w><x><y/></x></w></r>").unwrap();
+    small.build_tax_index().unwrap();
+    let path = temp_dir().join(format!("small-{}.tax", std::process::id()));
+    small.save_tax_index(&path).unwrap();
+
+    // 14 nodes: r, nine p, w, x, y (n12), p.
+    let e = Engine::with_defaults();
+    e.load_document(&format!(
+        "<r>{}<w><x><y/></x></w><p/></r>",
+        "<p/>".repeat(9)
+    ))
+    .unwrap();
+    let built = e.build_tax_index().unwrap();
+    let admin = e.session(User::Admin);
+    let queries = ["//x/y", "r/w/x/y"];
+    let answer = |q: &str| admin.query(q).unwrap().nodes;
+    assert_eq!(answer("r/w/x/y"), vec![NodeId(12)]);
+    let before: Vec<Vec<NodeId>> = queries.iter().map(|q| answer(q)).collect();
+
+    let err = e.load_tax_index(&path).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(err, EngineError::Xml(XmlError::Invalid(_))),
+        "{err}"
+    );
+    assert!(Arc::ptr_eq(&e.tax_index().unwrap(), &built));
+    let after: Vec<Vec<NodeId>> = queries.iter().map(|q| answer(q)).collect();
+    assert_eq!(after, before);
 }
 
 #[test]
@@ -123,7 +218,11 @@ fn hand_authored_spec_and_derived_policy_can_coexist() {
     assert_eq!(flat.query("hospital/pname").unwrap().len(), 3); // top-level names
                                                                 // The flat view exposes names that the derived view hides - distinct
                                                                 // policies genuinely isolate groups.
-    let xmls = flat.query_xml("hospital/pname").unwrap();
+    let xmls = flat
+        .query_serialized("hospital/pname")
+        .unwrap()
+        .xml
+        .unwrap();
     assert!(xmls.iter().any(|x| x.contains("Ann")));
 }
 
