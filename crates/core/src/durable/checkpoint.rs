@@ -251,22 +251,25 @@ fn list_checkpoints(dir: &Path) -> Result<Vec<u64>, DurError> {
 }
 
 /// Loads the newest checkpoint that passes its checksum, falling back to
-/// older ones. `Ok(None)` when the directory has no checkpoint at all;
-/// [`DurError::Checkpoint`] when checkpoints exist but none is loadable
-/// (recovering from the WAL alone would silently lose the checkpointed
-/// state, so this refuses instead).
-pub(crate) fn load_latest(dir: &Path) -> Result<Option<Checkpoint>, DurError> {
+/// older ones, together with the LSN named by the newest checkpoint file.
+/// The two differ when a newer checkpoint failed its checksum: the caller
+/// must then find that LSN reached by the WAL, or the fallback loses what
+/// the skipped checkpoint covered. `Ok(None)` when the directory has no
+/// checkpoint at all; [`DurError::Checkpoint`] when checkpoints exist but
+/// none is loadable (recovering from the WAL alone would silently lose
+/// the checkpointed state, so this refuses instead).
+pub(crate) fn load_latest(dir: &Path) -> Result<Option<(Checkpoint, u64)>, DurError> {
     // A crash may have left a temp file behind; it holds nothing a valid
     // checkpoint doesn't, so clear it out.
     let _ = std::fs::remove_file(dir.join("checkpoint.tmp"));
     let lsns = list_checkpoints(dir)?;
-    if lsns.is_empty() {
+    let Some(&newest) = lsns.last() else {
         return Ok(None);
-    }
+    };
     for &lsn in lsns.iter().rev() {
         let bytes = std::fs::read(checkpoint_path(dir, lsn)).map_err(DurError::Io)?;
         if let Some(ckpt) = decode(&bytes) {
-            return Ok(Some(ckpt));
+            return Ok(Some((ckpt, newest)));
         }
     }
     Err(DurError::Checkpoint(format!(

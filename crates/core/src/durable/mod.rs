@@ -15,7 +15,8 @@
 //! through the ordinary engine paths (an update record re-resolves its
 //! targets through the same security view the original write used),
 //! truncates a torn final record, and refuses with a typed error on
-//! mid-log corruption.
+//! mid-log corruption and on a fallback to an older checkpoint that the
+//! log cannot carry forward without a gap.
 //!
 //! ## The crash-consistency contract
 //!
@@ -68,7 +69,9 @@ pub enum DurError {
         /// What exactly was wrong.
         detail: String,
     },
-    /// Checkpoint files exist but none passes its checksum.
+    /// No checkpoint the log can carry forward: checkpoint files exist
+    /// but none passes its checksum, or the WAL records after the loaded
+    /// one have a gap or stop short of a newer, unreadable checkpoint.
     Checkpoint(String),
     /// The operation's WAL record would exceed the per-record ceiling
     /// that recovery enforces. The operation is refused before any bytes
@@ -217,14 +220,47 @@ fn dur_err(e: DurError) -> EngineError {
     EngineError::Durability(e)
 }
 
+/// Refuses a recovery whose result would not be a prefix of the log. The
+/// records replayed over the checkpoint at `base_lsn` must continue it
+/// without a gap and reach `newest_named`, the LSN of the newest
+/// checkpoint file. That file is newer than the loaded checkpoint only if
+/// it failed its checksum; the log was truncated when it was written, so
+/// without the records it covered the fallback would silently lose them.
+fn check_replay_is_a_prefix(
+    base_lsn: u64,
+    newest_named: u64,
+    records: &[wal::WalRecord],
+) -> Result<(), DurError> {
+    let mut reached = base_lsn;
+    for record in records.iter().filter(|r| r.lsn > base_lsn) {
+        if record.lsn != reached + 1 {
+            return Err(DurError::Checkpoint(format!(
+                "the log resumes at record {} after record {reached}: records {} to {} are lost",
+                record.lsn,
+                reached + 1,
+                record.lsn - 1
+            )));
+        }
+        reached = record.lsn;
+    }
+    if reached < newest_named {
+        return Err(DurError::Checkpoint(format!(
+            "the checkpoint at record {newest_named} is unreadable and the log \
+             only reaches record {reached}"
+        )));
+    }
+    Ok(())
+}
+
 impl Engine {
     /// Opens (creating if needed) the data directory `dir` and returns a
     /// **durable** engine: the latest valid checkpoint is loaded, the WAL
     /// tail is replayed through the ordinary engine paths, a torn final
     /// record is truncated, and from here on every catalog mutation is
     /// logged before it is installed. Fails with a typed
-    /// [`EngineError::Durability`] on mid-log corruption — a durable
-    /// engine never serves a half-recovered state.
+    /// [`EngineError::Durability`] on mid-log corruption, and when the
+    /// newest checkpoint is unreadable and the log cannot replace it — a
+    /// durable engine never serves a half-recovered state.
     ///
     /// Recovery ends with a fresh checkpoint, so the next boot replays
     /// nothing and the recovery epoch is persisted.
@@ -234,12 +270,16 @@ impl Engine {
     ) -> Result<Arc<Engine>, EngineError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(|e| dur_err(DurError::Io(e)))?;
-        let ckpt = checkpoint::load_latest(dir).map_err(dur_err)?;
+        let (ckpt, newest_named) = match checkpoint::load_latest(dir).map_err(dur_err)? {
+            Some((ckpt, newest_named)) => (Some(ckpt), newest_named),
+            None => (None, 0),
+        };
         let wal_path = dir.join(WAL_FILE);
         let had_wal = wal_path.exists();
         let scan = wal::scan_wal(&wal_path).map_err(dur_err)?;
 
         let base_lsn = ckpt.as_ref().map(|c| c.last_lsn).unwrap_or(0);
+        check_replay_is_a_prefix(base_lsn, newest_named, &scan.records).map_err(dur_err)?;
         let had_state = ckpt.is_some() || had_wal;
         let epoch = match &ckpt {
             Some(c) => c.epoch + 1,

@@ -302,11 +302,13 @@ impl Engine {
     /// The in-memory half of a drop (also the replay path — the record
     /// is already in the log then).
     pub(crate) fn drop_document_local(&self, name: &str) -> bool {
-        let existed = self.catalog.remove(name);
-        if existed {
-            self.plans.purge_document(name);
+        match self.catalog.remove(name) {
+            Some(entry) => {
+                self.plans.purge_entry(entry.id());
+                true
+            }
+            None => false,
         }
-        existed
     }
 
     /// The catalog (durability's capture/replay entry point).
@@ -513,7 +515,6 @@ impl Engine {
         *entry.dtd.write() = Some(Arc::new(dtd));
         *entry.dtd_text.write() = Some(Arc::from(dtd_text));
         entry.bump_generation();
-        self.plans.purge_document(entry.name());
         Ok(())
     }
 
@@ -530,7 +531,7 @@ impl Engine {
         let source =
             LoadedSource::new(Arc::new(smoqe_xml::parse_buffer(text, &self.vocab)?), None)?;
         // A fresh source carries no TAX index (the old one described the
-        // old document) and invalidates the cached plans. Validation, the
+        // old document); cached plans stay valid. Validation, the
         // WAL record and the install all happen under the write lock that
         // orders DTD swaps and installs, so the log never holds a
         // document its preceding DTD record would refuse on replay.
@@ -544,7 +545,6 @@ impl Engine {
         })?;
         *entry.source.write() = Some(Arc::new(source));
         entry.bump_generation();
-        self.plans.purge_document(entry.name());
         Ok(())
     }
 
@@ -698,7 +698,7 @@ impl Engine {
             source,
         };
         entry.views.write().insert(group.to_string(), slot);
-        self.plans.purge_view(entry.name(), group);
+        self.plans.purge_view(entry.id(), group);
         Ok(())
     }
 
@@ -730,18 +730,14 @@ impl Engine {
                 (Some(spec), generation)
             }
         };
-        let doc_generation = entry.generation();
         // Plans of a dropped entry stay out of the shared cache: the drop
         // purged them, and sessions still bound to the entry must not
         // regrow residency for a document the catalog has forgotten.
         let cacheable = !entry.is_dropped();
         let key = PlanKey {
-            document: entry.name().to_string(),
             entry_id: entry.id(),
-            doc_generation,
             scope: PlanKey::scope_of(user, view_generation),
             query: query.to_string(),
-            optimized: self.config.optimize_mfa,
         };
         if cacheable {
             if let Some(plan) = self.plans.get(&key) {
@@ -763,13 +759,13 @@ impl Engine {
         // of the plan — any session, batch lane or thread — reuses it.
         let mfa = Arc::new(CompiledMfa::from_arc(mfa));
         if cacheable {
-            self.plans.insert(key, mfa.clone(), doc_generation);
+            self.plans.insert(key, mfa.clone());
             // A concurrent drop_document may have marked the entry and
             // purged between the check above and the insert; whichever
             // side purges last wins, so re-checking here closes the race
             // (drop marks before it purges).
             if entry.is_dropped() {
-                self.plans.purge_document(entry.name());
+                self.plans.purge_entry(entry.id());
             }
         }
         Ok((mfa, false))
@@ -800,8 +796,9 @@ impl Engine {
     ///   it collapses into `UpdateDenied` too — a validation message
     ///   could describe content the view hides.
     /// * **Installation.** Only after everything succeeded is the new
-    ///   snapshot swapped in, the entry's generation bumped, and exactly
-    ///   this document's cached plans invalidated. Writers are serialized
+    ///   snapshot swapped in and the entry's generation (its write
+    ///   version) bumped. Cached plans stay valid: no plan reads the
+    ///   document, only its query and view. Writers are serialized
     ///   on the entry's write lock; readers keep evaluating on their old
     ///   snapshot throughout and are never blocked.
     pub(crate) fn apply_updates_on(
@@ -921,11 +918,6 @@ impl Engine {
         })?;
         *entry.source.write() = Some(Arc::new(source));
         entry.bump_generation();
-        if !entry.is_dropped() {
-            // Dropped entries have no plans in the cache (and purging by
-            // name would hit an unrelated re-opened document).
-            self.plans.purge_document(entry.name());
-        }
         Ok(reports)
     }
 
@@ -1435,8 +1427,8 @@ impl Session {
     /// target is hidden, conditionally hidden, or non-existent fails with
     /// the same opaque [`EngineError::UpdateDenied`] — denials do not
     /// reveal whether anything matched. Accepted updates incrementally
-    /// patch the TAX index, bump only this document's generation (cached
-    /// plans of other documents survive untouched) and never block
+    /// patch the TAX index, bump only this document's generation (its
+    /// write version; every cached plan stays valid) and never block
     /// concurrent readers, which finish on their pre-update snapshot.
     pub fn update(&self, update: &str) -> Result<UpdateReport, EngineError> {
         let mut reports = self
@@ -1643,16 +1635,32 @@ mod tests {
     }
 
     #[test]
-    fn document_replacement_invalidates_cached_plans() {
+    fn document_replacement_keeps_cached_plans_valid() {
         let engine = engine_with_sample();
         let session = engine.session(User::Admin);
         session.query("//medication").unwrap();
         assert!(session.query("//medication").unwrap().plan_cached);
-        engine.load_document(hospital::SAMPLE_DOCUMENT).unwrap();
-        assert!(
-            !session.query("//medication").unwrap().plan_cached,
-            "reload must invalidate the cached plan"
+        engine
+            .load_document(
+                "<hospital><patient><pname>Dee</pname><visit><treatment>\
+                 <medication>cold</medication></treatment><date>d</date></visit>\
+                 </patient></hospital>",
+            )
+            .unwrap();
+        let after = session.query("//medication").unwrap();
+        assert!(after.plan_cached, "a reload must keep the cached plan");
+        // The cached plan answers the new document, not the old one.
+        let doc = engine.document().unwrap();
+        let oracle = smoqe_rxpath::evaluate(
+            &doc,
+            &parse_path("//medication", engine.vocabulary()).unwrap(),
         );
+        assert_eq!(after.nodes, oracle.into_vec());
+        assert_eq!(
+            after.serialize_with(&doc),
+            vec!["<medication>cold</medication>"]
+        );
+        assert_eq!(engine.cache_metrics().invalidations, 0);
     }
 
     #[test]
@@ -1854,19 +1862,28 @@ mod tests {
         assert!(hosp_admin.query("//medication").unwrap().plan_cached);
         assert!(org_admin.query("//salary").unwrap().plan_cached);
 
-        let invalidations_before = engine.cache_metrics().invalidations;
+        let before = engine.cache_metrics();
+        let (hosp_generation, org_generation) = (hosp.generation(), orgdoc.generation());
+        let meds_before = hosp_admin.query("//medication").unwrap().len();
         hosp.update("delete hospital/patient[pname = 'Bob']")
             .unwrap();
+        assert!(hosp.generation() > hosp_generation);
+        assert_eq!(orgdoc.generation(), org_generation);
 
-        assert!(
-            !hosp_admin.query("//medication").unwrap().plan_cached,
-            "updated document must recompile"
+        let meds = hosp_admin.query("//medication").unwrap();
+        assert!(meds.plan_cached, "an update must keep the cached plan");
+        assert_eq!(
+            meds.len(),
+            meds_before - 1,
+            "the cached plan answers the edited document (Bob's headache is gone)"
         );
         assert!(
             org_admin.query("//salary").unwrap().plan_cached,
             "the other document's plans must survive"
         );
-        assert!(engine.cache_metrics().invalidations > invalidations_before);
+        let after = engine.cache_metrics();
+        assert_eq!(after.invalidations, before.invalidations);
+        assert_eq!(after.misses, before.misses);
     }
 
     #[test]

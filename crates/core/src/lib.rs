@@ -14,7 +14,8 @@
 //! One [`Engine`] serves many *named* documents (the [`catalog`]) and many
 //! concurrent users: [`Session`]s are owned, `Send + Sync` handles, and
 //! compiled plans are memoized in a shared [plan cache](plancache) keyed by
-//! document/view generations.
+//! document entry, principal (with its view generation) and query text, so
+//! plans survive every content write.
 //!
 //! The engine also accepts **secure updates** (`insert`/`delete`/`replace`
 //! over Regular XPath targets, [`smoqe_update`]): group sessions may only

@@ -2,20 +2,21 @@
 //!
 //! Planning a query — parse, rewrite through the group's security view,
 //! compile to an MFA, optimize — is pure: its output depends only on the
-//! query text, the view spec (or admin scope), and the optimizer flag.
+//! query text and the view spec (or admin scope); the optimizer flag is
+//! fixed for the engine's lifetime. It never reads the document, so
 //! SMOQE's serving scenario (many users of a few groups issuing similar
-//! queries) therefore repeats identical planning work constantly. This
-//! cache memoizes `Arc<CompiledMfa>` plans engine-wide (the dense-table
+//! queries) can reuse one plan across every content edit. This cache
+//! memoizes `Arc<CompiledMfa>` plans engine-wide (the dense-table
 //! executable form — compiling the tables once here is what amortizes the
 //! ε-closure/subset-construction/required-label analyses across every
-//! session, batch lane and thread that runs the plan), keyed by document +
-//! view
-//! **generation counters** so that replacing a document, its DTD or a view
-//! invalidates exactly the affected entries — a stale generation simply
-//! never matches again, no lock coordination with the catalog required.
+//! session, batch lane and thread that runs the plan), keyed by exactly
+//! what a plan reads: the catalog entry, the principal scope (with the
+//! group's **view generation**) and the query text. Loading a document or
+//! DTD and applying updates leave the cache alone; re-registering a view
+//! invalidates that group's plans, and dropping a document purges its
+//! entry's plans.
 //!
-//! At capacity the cache first drops stale entries (whose generation can
-//! never be hit again), then evicts **live plans oldest-first** from an
+//! At capacity the cache evicts **live plans oldest-first** from an
 //! insertion-order queue — live plans of unrelated documents are never
 //! flushed wholesale. Hit/miss/invalidation/eviction counters are exposed
 //! through [`CacheMetrics`] (the plan-level analogue of the evaluator's
@@ -39,19 +40,18 @@ pub(crate) enum PlanScope {
 
 /// The full identity of a compiled plan.
 ///
-/// `entry_id` is the catalog entry's process-unique identity: generation
-/// counters restart at zero for every entry, so a document name that is
-/// dropped and re-opened would otherwise reproduce old `(name, generation)`
-/// pairs and let a session still bound to the *old* entry repopulate keys
-/// the new entry then hits.
+/// `entry_id` is the catalog entry's process-unique identity: view
+/// generations restart at zero for every entry, so a document name that
+/// is dropped and re-opened would otherwise reproduce old
+/// `(name, generation)` pairs and let a session still bound to the *old*
+/// entry repopulate keys the new entry then hits. No document or DTD
+/// version is part of the key: views are derived when they are
+/// registered, so no plan reads either.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
-    pub(crate) document: String,
     pub(crate) entry_id: u64,
-    pub(crate) doc_generation: u64,
     pub(crate) scope: PlanScope,
     pub(crate) query: String,
-    pub(crate) optimized: bool,
 }
 
 impl PlanKey {
@@ -73,8 +73,9 @@ pub struct CacheMetrics {
     pub hits: u64,
     /// Lookups that had to run parse → rewrite → compile → optimize.
     pub misses: u64,
-    /// Entries dropped because their document, DTD or view was replaced —
-    /// their generation went stale and they could never be hit again.
+    /// Entries dropped because their group's view was re-registered or
+    /// their document was dropped from the catalog. Content writes
+    /// (document and DTD loads, updates) never invalidate a plan.
     pub invalidations: u64,
     /// *Live* entries dropped oldest-first to make room at capacity (they
     /// could still have been hit; capacity pressure, not staleness).
@@ -158,21 +159,15 @@ impl PlanCache {
         }
     }
 
-    /// Inserts a freshly compiled plan. At capacity, entries of this
-    /// document whose generation went stale are dropped first (they can
-    /// never be hit again — counted as invalidations); if the cache is
-    /// still full, **live plans are evicted oldest-first** (counted
-    /// separately as evictions) until the new plan fits. Live plans of
-    /// unrelated documents are never flushed wholesale.
-    pub(crate) fn insert(&self, key: PlanKey, plan: Arc<CompiledMfa>, live_generation: u64) {
+    /// Inserts a freshly compiled plan. At capacity, **plans are evicted
+    /// oldest-first** (counted as evictions) until the new plan fits.
+    /// Plans of unrelated documents are never flushed wholesale.
+    pub(crate) fn insert(&self, key: PlanKey, plan: Arc<CompiledMfa>) {
         if self.capacity == 0 {
             return;
         }
         let mut inner = self.inner.write();
-        if inner.plans.len() >= self.capacity && !inner.plans.contains_key(&key) {
-            let stale =
-                inner.retain(|k| k.entry_id != key.entry_id || k.doc_generation == live_generation);
-            self.invalidations.fetch_add(stale, Ordering::Relaxed);
+        if !inner.plans.contains_key(&key) {
             while inner.plans.len() >= self.capacity {
                 // `order` and `plans` are kept in exact sync (every purge
                 // goes through `retain`), so the oldest queued key is
@@ -193,18 +188,19 @@ impl PlanCache {
         }
     }
 
-    /// Drops every plan cached for `document`, counting invalidations.
-    /// Generation keys already guarantee stale plans never match; purging
-    /// just releases their memory eagerly.
-    pub(crate) fn purge_document(&self, document: &str) {
-        let dropped = self.inner.write().retain(|k| k.document != document);
+    /// Drops every plan cached for the catalog entry `entry_id` (a dropped
+    /// document), counting invalidations.
+    pub(crate) fn purge_entry(&self, entry_id: u64) {
+        let dropped = self.inner.write().retain(|k| k.entry_id != entry_id);
         self.invalidations.fetch_add(dropped, Ordering::Relaxed);
     }
 
-    /// Drops every plan cached for `group` on `document`.
-    pub(crate) fn purge_view(&self, document: &str, group: &str) {
+    /// Drops every plan cached for `group` on the entry `entry_id`. The
+    /// view generation in the key already keeps the old plans from
+    /// matching; purging releases their memory eagerly.
+    pub(crate) fn purge_view(&self, entry_id: u64, group: &str) {
         let dropped = self.inner.write().retain(|k| {
-            k.document != document
+            k.entry_id != entry_id
                 || !matches!(&k.scope, PlanScope::Group { group: g, .. } if g == group)
         });
         self.invalidations.fetch_add(dropped, Ordering::Relaxed);
@@ -236,23 +232,35 @@ mod tests {
         )))
     }
 
-    fn key(doc: &str, doc_gen: u64, query: &str) -> PlanKey {
+    /// An admin plan key on entry 0.
+    fn key(query: &str) -> PlanKey {
+        key_on(0, query)
+    }
+
+    fn key_on(entry_id: u64, query: &str) -> PlanKey {
         PlanKey {
-            document: doc.to_string(),
-            entry_id: 0,
-            doc_generation: doc_gen,
+            entry_id,
             scope: PlanScope::Admin,
             query: query.to_string(),
-            optimized: true,
+        }
+    }
+
+    fn group_key(entry_id: u64, view_generation: u64, query: &str) -> PlanKey {
+        PlanKey {
+            scope: PlanScope::Group {
+                group: "g".into(),
+                view_generation,
+            },
+            ..key_on(entry_id, query)
         }
     }
 
     #[test]
     fn hit_and_miss_counting() {
         let cache = PlanCache::new(16);
-        let k = key("d", 0, "a/b");
+        let k = key("a/b");
         assert!(cache.get(&k).is_none());
-        cache.insert(k.clone(), plan_for("a/b"), 0);
+        cache.insert(k.clone(), plan_for("a/b"));
         assert!(cache.get(&k).is_some());
         let m = cache.metrics();
         assert_eq!((m.hits, m.misses, m.entries), (1, 1, 1));
@@ -261,56 +269,37 @@ mod tests {
 
     #[test]
     fn generation_change_is_a_miss() {
+        // A re-registered view carries a new generation: the group's old
+        // plans never match it.
         let cache = PlanCache::new(16);
-        cache.insert(key("d", 0, "a"), plan_for("a"), 0);
-        assert!(cache.get(&key("d", 1, "a")).is_none());
+        cache.insert(group_key(0, 1, "a"), plan_for("a"));
+        assert!(cache.get(&group_key(0, 2, "a")).is_none());
+        assert!(cache.get(&group_key(0, 1, "a")).is_some());
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let cache = PlanCache::new(0);
-        let k = key("d", 0, "a");
-        cache.insert(k.clone(), plan_for("a"), 0);
+        let k = key("a");
+        cache.insert(k.clone(), plan_for("a"));
         assert!(cache.get(&k).is_none());
         assert_eq!(cache.metrics().entries, 0);
-    }
-
-    fn key_on(doc: &str, entry_id: u64, query: &str) -> PlanKey {
-        PlanKey {
-            entry_id,
-            ..key(doc, 0, query)
-        }
-    }
-
-    #[test]
-    fn capacity_flush_prefers_stale_entries() {
-        let cache = PlanCache::new(2);
-        cache.insert(key("d", 0, "a"), plan_for("a"), 0);
-        cache.insert(key("d", 0, "b"), plan_for("b"), 0);
-        // Generation moved to 1: the two gen-0 entries are stale and give
-        // way without touching live ones.
-        cache.insert(key("d", 1, "c"), plan_for("c"), 1);
-        let m = cache.metrics();
-        assert_eq!(m.entries, 1);
-        assert_eq!(m.invalidations, 2);
-        assert_eq!(m.evictions, 0, "stale drops are not evictions");
-        assert!(cache.get(&key("d", 1, "c")).is_some());
     }
 
     #[test]
     fn capacity_evicts_oldest_live_plan_first() {
         let cache = PlanCache::new(2);
-        cache.insert(key("d", 0, "a"), plan_for("a"), 0);
-        cache.insert(key("d", 0, "b"), plan_for("b"), 0);
+        cache.insert(key("a"), plan_for("a"));
+        cache.insert(key("b"), plan_for("b"));
         // Everything is live: only the oldest entry gives way.
-        cache.insert(key("d", 0, "c"), plan_for("c"), 0);
+        cache.insert(key("c"), plan_for("c"));
         let m = cache.metrics();
         assert_eq!(m.entries, 2);
         assert_eq!(m.evictions, 1);
         assert_eq!(m.invalidations, 0, "live evictions are not invalidations");
-        assert!(cache.get(&key("d", 0, "a")).is_none(), "oldest evicted");
-        assert!(cache.get(&key("d", 0, "b")).is_some());
-        assert!(cache.get(&key("d", 0, "c")).is_some());
+        assert!(cache.get(&key("a")).is_none(), "oldest evicted");
+        assert!(cache.get(&key("b")).is_some());
+        assert!(cache.get(&key("c")).is_some());
     }
 
     #[test]
@@ -319,74 +308,68 @@ mod tests {
         // flushed live plans of *other* documents and miscounted them as
         // invalidations.
         let cache = PlanCache::new(3);
-        cache.insert(key_on("d1", 1, "a"), plan_for("a"), 0);
-        cache.insert(key_on("d2", 2, "b"), plan_for("b"), 0);
-        cache.insert(key_on("d1", 1, "c"), plan_for("c"), 0);
-        cache.insert(key_on("d1", 1, "d"), plan_for("d"), 0);
+        cache.insert(key_on(1, "a"), plan_for("a"));
+        cache.insert(key_on(2, "b"), plan_for("b"));
+        cache.insert(key_on(1, "c"), plan_for("c"));
+        cache.insert(key_on(1, "d"), plan_for("d"));
         let m = cache.metrics();
         assert_eq!(m.entries, 3);
         assert_eq!((m.evictions, m.invalidations), (1, 0));
-        assert!(cache.get(&key_on("d1", 1, "a")).is_none(), "oldest evicted");
+        assert!(cache.get(&key_on(1, "a")).is_none(), "oldest evicted");
         assert!(
-            cache.get(&key_on("d2", 2, "b")).is_some(),
+            cache.get(&key_on(2, "b")).is_some(),
             "the other document's live plan must survive capacity pressure"
         );
-        assert!(cache.get(&key_on("d1", 1, "c")).is_some());
-        assert!(cache.get(&key_on("d1", 1, "d")).is_some());
+        assert!(cache.get(&key_on(1, "c")).is_some());
+        assert!(cache.get(&key_on(1, "d")).is_some());
     }
 
     #[test]
     fn purged_keys_do_not_confuse_the_eviction_queue() {
         let cache = PlanCache::new(2);
-        cache.insert(key_on("d1", 1, "a"), plan_for("a"), 0);
-        cache.insert(key_on("d2", 2, "b"), plan_for("b"), 0);
-        cache.purge_document("d1");
+        cache.insert(key_on(1, "a"), plan_for("a"));
+        cache.insert(key_on(2, "b"), plan_for("b"));
+        cache.purge_entry(1);
         assert_eq!(cache.metrics().entries, 1);
         // Two more inserts: "b" (now oldest) is evicted, not a ghost of
         // the purged "a".
-        cache.insert(key_on("d2", 2, "c"), plan_for("c"), 0);
-        cache.insert(key_on("d2", 2, "d"), plan_for("d"), 0);
+        cache.insert(key_on(2, "c"), plan_for("c"));
+        cache.insert(key_on(2, "d"), plan_for("d"));
         let m = cache.metrics();
         assert_eq!(m.entries, 2);
         assert_eq!(m.evictions, 1);
-        assert!(cache.get(&key_on("d2", 2, "b")).is_none());
-        assert!(cache.get(&key_on("d2", 2, "c")).is_some());
-        assert!(cache.get(&key_on("d2", 2, "d")).is_some());
+        assert!(cache.get(&key_on(2, "b")).is_none());
+        assert!(cache.get(&key_on(2, "c")).is_some());
+        assert!(cache.get(&key_on(2, "d")).is_some());
     }
 
     #[test]
     fn reinserting_a_resident_key_does_not_evict() {
         let cache = PlanCache::new(2);
-        cache.insert(key("d", 0, "a"), plan_for("a"), 0);
-        cache.insert(key("d", 0, "b"), plan_for("b"), 0);
+        cache.insert(key("a"), plan_for("a"));
+        cache.insert(key("b"), plan_for("b"));
         // Same key again (e.g. two sessions raced on the same miss): no
         // capacity pressure, nothing evicted.
-        cache.insert(key("d", 0, "b"), plan_for("b"), 0);
+        cache.insert(key("b"), plan_for("b"));
         let m = cache.metrics();
         assert_eq!(m.entries, 2);
         assert_eq!(m.evictions, 0);
-        assert!(cache.get(&key("d", 0, "a")).is_some());
+        assert!(cache.get(&key("a")).is_some());
     }
 
     #[test]
     fn purge_document_and_view_are_scoped() {
         let cache = PlanCache::new(16);
-        cache.insert(key("d1", 0, "a"), plan_for("a"), 0);
-        cache.insert(key("d2", 0, "a"), plan_for("a"), 0);
-        let group_key = PlanKey {
-            scope: PlanScope::Group {
-                group: "g".into(),
-                view_generation: 1,
-            },
-            ..key("d2", 0, "b")
-        };
-        cache.insert(group_key.clone(), plan_for("b"), 0);
-        cache.purge_view("d2", "g");
+        cache.insert(key_on(1, "a"), plan_for("a"));
+        cache.insert(key_on(2, "a"), plan_for("a"));
+        let group_key = group_key(2, 1, "b");
+        cache.insert(group_key.clone(), plan_for("b"));
+        cache.purge_view(2, "g");
         assert!(cache.get(&group_key).is_none());
-        assert!(cache.get(&key("d2", 0, "a")).is_some());
-        cache.purge_document("d1");
-        assert!(cache.get(&key("d1", 0, "a")).is_none());
-        assert!(cache.get(&key("d2", 0, "a")).is_some());
+        assert!(cache.get(&key_on(2, "a")).is_some());
+        cache.purge_entry(1);
+        assert!(cache.get(&key_on(1, "a")).is_none());
+        assert!(cache.get(&key_on(2, "a")).is_some());
         assert_eq!(cache.metrics().invalidations, 2);
     }
 }

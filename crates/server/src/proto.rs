@@ -1155,7 +1155,9 @@ pub struct WireStats {
     pub cache_hits: u64,
     /// Plan-cache misses.
     pub cache_misses: u64,
-    /// Generation-staleness invalidations.
+    /// Plans dropped because their group's view was re-registered or
+    /// their document was dropped. Content writes never invalidate a
+    /// plan, so this does not move when (hidden) data changes.
     pub cache_invalidations: u64,
     /// Capacity evictions.
     pub cache_evictions: u64,

@@ -84,8 +84,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.applied
     );
 
-    // Plans were invalidated for this document only, and fresh queries
-    // see the updated snapshot.
+    // Cached plans survived every update (a plan reads the query and the
+    // view, never the document), and queries see the updated snapshot.
     println!("cache after updates: {:?}", engine.cache_metrics());
     println!("secure_updates: OK");
     Ok(())

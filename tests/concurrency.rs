@@ -5,8 +5,9 @@
 //!   answers identical to serial evaluation;
 //! * repeated queries hit the shared plan cache (observable through the
 //!   exposed hit/miss counters);
-//! * replacing a document, its DTD, or a view invalidates exactly the
-//!   affected cached plans;
+//! * cached plans survive document reloads and updates (a plan reads the
+//!   query and the view, never the document), while re-registering a view
+//!   invalidates exactly that group's plans;
 //! * catalog documents and their user groups are isolated from each other.
 
 use smoqe::workloads::{hospital, org};
@@ -118,20 +119,45 @@ fn repeated_query_is_a_cache_hit() {
 }
 
 #[test]
-fn document_replacement_invalidates_cached_plans() {
+fn document_replacement_keeps_cached_plans_valid() {
     let engine = Engine::with_defaults();
     let doc = hospital_doc(&engine, "h");
-    let session = doc.session(User::Admin);
-    session.query("//medication").unwrap();
-    assert!(session.query("//medication").unwrap().plan_cached);
+    let admin = doc.session(User::Admin);
+    let researcher = doc.session(User::Group(hospital::GROUP.into()));
+    for session in [&admin, &researcher] {
+        session.query("//medication").unwrap();
+        assert!(session.query("//medication").unwrap().plan_cached);
+    }
 
-    doc.load_document(hospital::SAMPLE_DOCUMENT).unwrap();
-    let invalidations = engine.cache_metrics().invalidations;
-    assert!(invalidations >= 1, "reload must invalidate cached plans");
-    assert!(
-        !session.query("//medication").unwrap().plan_cached,
-        "post-reload query must recompile"
+    // A different document, so answers from before the reload are wrong.
+    let other = hospital::generate_document(engine.vocabulary(), 11, 300).to_xml();
+    doc.load_document(&other).unwrap();
+    assert_eq!(
+        engine.cache_metrics().invalidations,
+        0,
+        "a reload must not invalidate cached plans"
     );
+    // A fresh engine over the same text is the oracle.
+    let fresh = Engine::new(EngineConfig {
+        plan_cache_capacity: 0,
+        ..EngineConfig::default()
+    });
+    let oracle = fresh.open_document("h");
+    hospital::install_sample(&oracle).unwrap();
+    oracle.load_document(&other).unwrap();
+    for (session, user) in [
+        (&admin, User::Admin),
+        (&researcher, User::Group(hospital::GROUP.into())),
+    ] {
+        let after = session.query_serialized("//medication").unwrap();
+        assert!(after.plan_cached, "post-reload query must reuse the plan");
+        let expected = oracle
+            .session(user)
+            .query_serialized("//medication")
+            .unwrap();
+        assert_eq!(after.nodes, expected.nodes);
+        assert_eq!(after.xml, expected.xml);
+    }
 }
 
 #[test]
@@ -340,9 +366,10 @@ fn update_landing_mid_query_leaves_the_reader_on_its_snapshot() {
     let after = session.query("//medication").unwrap();
     assert_eq!(after.len(), pre.len() + 1, "a fresh query sees the update");
     assert!(
-        !after.plan_cached,
-        "the update invalidated this doc's plans"
+        after.plan_cached,
+        "the update kept this doc's plans, and the cached plan answers the edit"
     );
+    assert_eq!(engine.cache_metrics().invalidations, 0);
 }
 
 #[test]

@@ -107,7 +107,7 @@ fn a_recovered_engine_is_indistinguishable_from_the_one_that_crashed() {
             .unwrap()
             .generation(),
         generation,
-        "generation counters must survive so cached plans stay correctly keyed"
+        "the document's write version (its generation) must survive recovery"
     );
     assert!(recovered.tax_index().is_some(), "the TAX index is rebuilt");
     for ((_, q), nodes) in hospital::DOC_QUERIES.iter().zip(&admin_before) {
@@ -333,6 +333,86 @@ fn midlog_corruption_is_refused_with_a_typed_error() {
         Ok(_) => panic!("recovery accepted a corrupt log"),
         Err(other) => panic!("expected a typed corruption error, got: {other}"),
     }
+}
+
+/// Patient `X` is inserted between two checkpoints, and the second one
+/// truncates the log: from then on only that checkpoint holds `X`. The
+/// returned directory holds the engine's files after an abrupt exit, and
+/// the copy of `wal.log` taken just before the second checkpoint.
+fn x_only_in_the_newest_checkpoint(tag: &str, write_y: bool) -> (TempDir, Vec<u8>) {
+    let dir = TempDir::new(tag);
+    let engine = recover(dir.path());
+    engine.load_dtd(hospital::DTD).unwrap();
+    engine.load_document(hospital::SAMPLE_DOCUMENT).unwrap();
+    engine.checkpoint().unwrap();
+    engine.update(&marker_insert(0)).unwrap(); // patient X = M0
+    let wal_with_x = std::fs::read(dir.path().join("wal.log")).unwrap();
+    engine.checkpoint().unwrap();
+    if write_y {
+        engine.update(&marker_insert(1)).unwrap(); // patient Y = M1
+    }
+    drop(engine); // an abrupt exit
+    (dir, wal_with_x)
+}
+
+/// Flips one byte in the middle of the newest checkpoint file.
+fn corrupt_newest_checkpoint(dir: &Path) {
+    let mut checkpoints: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
+        .collect();
+    checkpoints.sort();
+    assert!(
+        checkpoints.len() >= 2,
+        "an older checkpoint to fall back to"
+    );
+    let newest = checkpoints.last().unwrap();
+    let mut bytes = std::fs::read(newest).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(newest, bytes).unwrap();
+}
+
+fn expect_checkpoint_refusal(dir: &Path) {
+    match Engine::recover(EngineConfig::default(), dir) {
+        Err(EngineError::Durability(DurError::Checkpoint(_))) => {}
+        Ok(engine) => panic!(
+            "recovery fell back past a lost record: {}",
+            engine.document().unwrap().to_xml()
+        ),
+        Err(other) => panic!("expected a checkpoint refusal, got: {other}"),
+    }
+}
+
+#[test]
+fn a_checkpoint_fallback_that_skips_logged_records_is_refused() {
+    // The older checkpoint plus the log tail would hold Y without X: not
+    // a prefix of the logged operations.
+    let (dir, _) = x_only_in_the_newest_checkpoint("lossy-tail", true);
+    corrupt_newest_checkpoint(dir.path());
+    expect_checkpoint_refusal(dir.path());
+}
+
+#[test]
+fn a_checkpoint_fallback_short_of_the_unreadable_checkpoint_is_refused() {
+    // No write after the corrupt checkpoint: the log is empty, and the
+    // older checkpoint alone silently lacks X.
+    let (dir, _) = x_only_in_the_newest_checkpoint("lossy-empty", false);
+    corrupt_newest_checkpoint(dir.path());
+    expect_checkpoint_refusal(dir.path());
+}
+
+#[test]
+fn a_checkpoint_fallback_the_log_still_covers_recovers() {
+    // With the log as it was before the second checkpoint, the older
+    // checkpoint plus the log reach everything the corrupt one covered.
+    let (dir, wal_with_x) = x_only_in_the_newest_checkpoint("lossless", false);
+    corrupt_newest_checkpoint(dir.path());
+    std::fs::write(dir.path().join("wal.log"), wal_with_x).unwrap();
+    let recovered = recover(dir.path());
+    let xml = recovered.document().unwrap().to_xml();
+    assert!(xml.contains("<pname>M0</pname>"), "X must survive: {xml}");
 }
 
 /// The live engine permits loading a document and then registering a DTD

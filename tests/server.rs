@@ -389,6 +389,44 @@ fn denial_frames_are_byte_identical_hidden_vs_nonexistent() {
     handle.join();
 }
 
+/// An admin edit of data the group's view hides must not show in anything
+/// the group receives: not in its answers, not in `plan_cached`, and not in
+/// the plan-cache counters of its `Stats` frame.
+#[test]
+fn a_hidden_edit_leaves_group_answers_and_cache_stats_unchanged() {
+    let (handle, _engine) = start_server(ServerConfig::default());
+    let mut group = researcher(&handle);
+    let query = "hospital/patient/treatment/medication";
+
+    group.query(query).unwrap();
+    let mut second = group.query(query).unwrap();
+    assert!(second.plan_cached);
+    let stats_before = group.stats(false).unwrap();
+
+    // `pname` is hidden from researchers by the policy.
+    let mut admin = connect(&handle);
+    admin.hello("wards", Principal::Admin).unwrap();
+    admin
+        .update("replace hospital/patient[pname = 'Bob']/pname with <pname>Rob</pname>")
+        .unwrap();
+
+    let mut third = group.query(query).unwrap();
+    let stats_after = group.stats(false).unwrap();
+    // Request ids differ per request; everything else must match.
+    second.stats.request_id = 0;
+    third.stats.request_id = 0;
+    assert_eq!(third, second, "the hidden edit changed the group's answer");
+    assert_eq!(stats_after.cache_misses, stats_before.cache_misses);
+    assert_eq!(
+        stats_after.cache_invalidations,
+        stats_before.cache_invalidations
+    );
+    assert_eq!(stats_after.cache_entries, stats_before.cache_entries);
+
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn hello_is_required_and_admin_ops_are_guarded() {
     let (handle, _engine) = start_server(ServerConfig::default());

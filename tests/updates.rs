@@ -9,13 +9,15 @@
 //!   queries under TAX-pruned evaluation;
 //! * random *accepted* engine updates leave the engine indistinguishable
 //!   from a fresh engine that loaded the updated serialization and
-//!   rebuilt everything.
+//!   rebuilt everything;
+//! * plans cached before a write answer every later state exactly like
+//!   plans compiled from scratch.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smoqe::workloads::hospital;
-use smoqe::{Engine, EngineError, User};
+use smoqe::{DocHandle, Engine, EngineConfig, EngineError, User};
 use smoqe_rxpath::evaluate;
 use smoqe_tax::TaxIndex;
 use smoqe_update::parse_update;
@@ -410,26 +412,36 @@ fn denied_and_accepted_updates_manage_generations_precisely() {
     let session = doc.session(User::Group(hospital::GROUP.into()));
     let admin = doc.session(User::Admin);
 
-    admin.query("//medication").unwrap();
+    let before = admin.query_serialized("//medication").unwrap();
     assert!(admin.query("//medication").unwrap().plan_cached);
+    let generation = doc.generation();
 
     // A denied update must not bump the generation or drop plans.
     assert!(matches!(
         session.update("delete //pname"),
         Err(EngineError::UpdateDenied)
     ));
+    assert_eq!(doc.generation(), generation, "a denial writes nothing");
     assert!(
         admin.query("//medication").unwrap().plan_cached,
         "denied update must not invalidate plans"
     );
 
-    // An accepted one invalidates this document's plans...
+    // An accepted one bumps the generation (the write version) but keeps
+    // every plan, and the cached plan answers the edited document.
     session
         .update(
             "replace hospital/patient/treatment/medication with <medication>autism</medication>",
         )
         .unwrap();
-    assert!(!admin.query("//medication").unwrap().plan_cached);
+    assert!(doc.generation() > generation);
+    let after = admin.query_serialized("//medication").unwrap();
+    assert!(after.plan_cached, "accepted update must keep plans");
+    assert_ne!(after.xml, before.xml, "the edit changed the answer");
+    let edited = doc.document().unwrap();
+    let query = smoqe_rxpath::parse_path("//medication", engine.vocabulary()).unwrap();
+    assert_eq!(after.nodes, evaluate(&edited, &query).into_vec());
+    assert_eq!(engine.cache_metrics().invalidations, 0);
 }
 
 #[test]
@@ -453,4 +465,127 @@ fn view_paths_and_source_paths_are_different_worlds() {
         ),
         Err(EngineError::UpdateDenied)
     ));
+}
+
+/// Every `DOC_QUERIES` answer (admin) and `VIEW_QUERIES` answer (group) of
+/// `doc`, with its serialized XML and whether its plan came from the cache.
+fn all_answers(doc: &DocHandle) -> Vec<(Vec<NodeId>, Option<Vec<String>>, bool)> {
+    let admin = hospital::DOC_QUERIES.iter().map(|(_, q)| (User::Admin, *q));
+    let group = hospital::VIEW_QUERIES
+        .iter()
+        .map(|(_, q)| (User::Group(hospital::GROUP.into()), *q));
+    admin
+        .chain(group)
+        .map(|(user, q)| {
+            let answer = doc.session(user).query_serialized(q).unwrap();
+            (answer.nodes, answer.xml, answer.plan_cached)
+        })
+        .collect()
+}
+
+/// Plans survive content writes, so a plan cached before an edit must
+/// answer the edited document exactly like a plan compiled afterwards. A
+/// warm engine (every plan cached up front) and a cold one (no plan cache)
+/// take the same seeded sequence of accepted admin and group updates, one
+/// reload of the DTD and one load of a different document; after every
+/// step their answers must agree and the warm engine must not recompile.
+#[test]
+fn cached_plans_answer_every_edit_like_fresh_plans() {
+    const STEPS: usize = 16;
+    let warm = Engine::with_defaults();
+    let cold = Engine::new(EngineConfig {
+        plan_cache_capacity: 0,
+        ..EngineConfig::default()
+    });
+    let docs = [&warm, &cold].map(|engine| {
+        let doc = engine.open_document("h");
+        hospital::install_sample(&doc).unwrap();
+        doc
+    });
+    all_answers(&docs[0]);
+    let warm_misses = warm.cache_metrics().misses;
+    let other_document = hospital::generate_document(warm.vocabulary(), 5, 200).to_xml();
+
+    let mut rng = StdRng::seed_from_u64(14);
+    let dtd_step = rng.random_range(0..STEPS / 2);
+    let load_step = rng.random_range(STEPS / 2..STEPS);
+    // Marker patients present in the document; `unreplaced` still hold
+    // their `m{i}` medication, which the group may rewrite once.
+    let (mut markers, mut unreplaced) = (Vec::<usize>::new(), Vec::<usize>::new());
+    let (mut group_updates, mut deletes) = (0, 0);
+    for step in 0..STEPS {
+        let label;
+        if step == dtd_step {
+            label = "load_dtd".to_string();
+            for doc in &docs {
+                doc.load_dtd(hospital::DTD).unwrap();
+            }
+        } else if step == load_step {
+            label = "load_document".to_string();
+            for doc in &docs {
+                doc.load_document(&other_document).unwrap();
+            }
+            markers.clear();
+            unreplaced.clear();
+        } else {
+            let (user, statement) = match rng.random_range(0..3) {
+                1 if !unreplaced.is_empty() => {
+                    let i = unreplaced.swap_remove(rng.random_range(0..unreplaced.len()));
+                    group_updates += 1;
+                    (
+                        User::Group(hospital::GROUP.into()),
+                        format!(
+                            "replace hospital/patient/treatment[medication = 'm{i}']/medication \
+                             with <medication>g{i}</medication>"
+                        ),
+                    )
+                }
+                2 if !markers.is_empty() => {
+                    let i = markers.swap_remove(rng.random_range(0..markers.len()));
+                    unreplaced.retain(|&u| u != i);
+                    deletes += 1;
+                    (
+                        User::Admin,
+                        format!("delete hospital/patient[pname = 'M{i}']"),
+                    )
+                }
+                _ => {
+                    // Autism makes the marker visible to the group; `m{i}`
+                    // gives the group a medication of its own to rewrite.
+                    markers.push(step);
+                    unreplaced.push(step);
+                    (
+                        User::Admin,
+                        format!(
+                            "insert <patient><pname>M{step}</pname>\
+                             <visit><treatment><medication>autism</medication></treatment>\
+                             <date>d</date></visit>\
+                             <visit><treatment><medication>m{step}</medication></treatment>\
+                             <date>d</date></visit></patient> into hospital"
+                        ),
+                    )
+                }
+            };
+            for doc in &docs {
+                doc.session(user.clone())
+                    .update(&statement)
+                    .unwrap_or_else(|e| panic!("step {step}: `{statement}` refused: {e}"));
+            }
+            label = statement;
+        }
+
+        let (hot, fresh) = (all_answers(&docs[0]), all_answers(&docs[1]));
+        for (i, (h, f)) in hot.iter().zip(&fresh).enumerate() {
+            assert_eq!(h.0, f.0, "step {step} ({label}): answer {i} nodes diverged");
+            assert_eq!(h.1, f.1, "step {step} ({label}): answer {i} XML diverged");
+            assert!(h.2, "step {step} ({label}): answer {i} was recompiled");
+        }
+    }
+    assert!(
+        group_updates > 0 && deletes > 0,
+        "the seed exercises every write kind"
+    );
+    let m = warm.cache_metrics();
+    assert_eq!(m.misses, warm_misses, "no write forced a recompile");
+    assert_eq!(m.invalidations, 0);
 }
