@@ -1,11 +1,12 @@
-//! Jump-scan vs tree-walk DOM evaluation, and the parallel DOM batch.
+//! Jump-scan vs tree-walk DOM evaluation, and the DOM batch.
 //!
 //! The jump driver visits O(candidate) nodes by hopping between label
 //! occurrences, so selective queries should collapse from hundreds of µs
 //! to tens; exhaustive queries stay with the scan walker's constants
 //! (which is exactly what auto mode encodes). The `parallel_batch` group
-//! measures a DOM query batch partitioned across worker threads sharing
-//! one snapshot.
+//! measures a DOM query batch over one snapshot: inline at 1 thread (the
+//! default engine's batch path), partitioned across worker threads at 2
+//! and 4.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smoqe::workloads::hospital;
@@ -43,7 +44,7 @@ fn bench_jump(c: &mut Criterion) {
 fn bench_parallel_batch(c: &mut Criterion) {
     let queries: Vec<&str> = hospital::DOC_QUERIES.iter().map(|(_, q)| *q).collect();
     let mut group = c.benchmark_group("parallel_batch");
-    for threads in [2usize, 4] {
+    for threads in [1usize, 2, 4] {
         let engine = Engine::new(EngineConfig {
             eval_threads: threads,
             ..EngineConfig::default()

@@ -623,9 +623,10 @@ fn bench_json(quick: bool) {
         frontier_refs.len() as f64 / d.as_secs_f64()
     };
 
-    // Parallel DOM batch throughput: the same 16-query mix, serially
-    // (one DOM query at a time) vs partitioned across worker threads
-    // sharing one snapshot.
+    // DOM batch throughput: the same 16-query mix, serially (one DOM
+    // query at a time) vs one batch over one snapshot — inline at 1
+    // thread (the default engine's batch path), partitioned across worker
+    // threads at 2 and 4.
     let batch_queries: Vec<&str> = (0..16)
         .map(|i| hospital::DOC_QUERIES[i % hospital::DOC_QUERIES.len()].1)
         .collect();
@@ -660,6 +661,7 @@ fn bench_json(quick: bool) {
         let d = time_min(iters, || session.query_batch(&batch_queries).unwrap());
         batch_queries.len() as f64 / d.as_secs_f64()
     };
+    let threads1_qps = parallel_qps(1);
     let threads2_qps = parallel_qps(2);
     let threads4_qps = parallel_qps(4);
 
@@ -817,6 +819,7 @@ fn bench_json(quick: bool) {
          \x20 \"batch_jump_qps\": {batch_jump_qps:.1},\n\
          \x20 \"parallel_batch_qps\": {{\n\
          \x20   \"serial_dom\": {serial_dom_qps:.1},\n\
+         \x20   \"threads_1\": {threads1_qps:.1},\n\
          \x20   \"threads_2\": {threads2_qps:.1},\n\
          \x20   \"threads_4\": {threads4_qps:.1}\n\
          \x20 }},\n\

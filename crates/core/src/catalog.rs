@@ -414,8 +414,8 @@ impl DocHandle {
         self.session(user.clone()).query(query)
     }
 
-    /// Answers a whole batch of queries as `user` in one sequential scan
-    /// of this document (see [`Session::query_batch`]).
+    /// Answers a whole batch of queries as `user` against one snapshot of
+    /// this document (see [`Session::query_batch`]).
     pub fn query_batch(
         &self,
         user: &User,

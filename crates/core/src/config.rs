@@ -49,9 +49,10 @@ pub struct EngineConfig {
     /// Selectivity ceiling under which auto mode jumps (fraction of the
     /// document the rarest required label occupies).
     pub jump_selectivity: f64,
-    /// Worker threads for DOM-mode query batches: `> 1` partitions a
-    /// batch's plans across scoped threads sharing one document snapshot
-    /// (streaming batches always use the single shared scan instead).
+    /// Worker threads for DOM-mode query batches, which always answer
+    /// from one document snapshot: `1` evaluates inline on the calling
+    /// thread, `> 1` partitions the jump frontier and the remaining plans
+    /// across scoped threads (streaming batches share one parse instead).
     pub eval_threads: usize,
     /// Maximum number of compiled plans memoized engine-wide (0 disables
     /// the plan cache entirely).

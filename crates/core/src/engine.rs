@@ -125,36 +125,38 @@ impl Answer {
 /// Result of a batched query.
 ///
 /// Returned by [`Session::query_batch`], [`DocHandle::query_batch`] and
-/// [`Engine::evaluate_batch`]. A batch amortizes one of two ways:
+/// [`Engine::evaluate_batch`]. Every answer is computed on **one**
+/// snapshot of the document; how the batch amortizes depends on the
+/// engine's [`DocumentMode`]:
 ///
-/// * **Shared scan** (the default, and always in stream mode): every plan
-///   rides **one** sequential parse of the document. `events` is the
-///   total parser event count of that scan — the same count a *single*
-///   streamed query reports, which is the proof the pass was shared — and
-///   every answer carries its serialized XML: raw source subtrees for
-///   admin sessions, the access-controlled view rendering for group
-///   sessions.
-/// * **Parallel DOM** (`EngineConfig::eval_threads > 1` in DOM mode): the
-///   batch's plans are partitioned across scoped worker threads sharing
-///   one `Arc` document/TAX snapshot, each evaluated exactly as
-///   [`Session::query`] would (including jump-scan auto-picking), with
-///   per-worker statistics merged via [`BatchAnswer::merged_stats`].
-///   Nothing is parsed, so `events` is 0 and `xml` stays `None`, like any
-///   other DOM-mode answer.
+/// * **DOM engines** answer from the snapshot's tree, at every
+///   [`EngineConfig::eval_threads`]. Each plan takes the scan/jump pick
+///   [`Session::query`] makes; jump plans share one sweep of a merged
+///   candidate frontier, the rest are evaluated one by one (partitioned
+///   across scoped worker threads when `eval_threads > 1`). Per-plan
+///   statistics merge via [`BatchAnswer::merged_stats`]. Nothing is
+///   parsed, so `events` is 0 and `xml` stays `None`, like any other DOM
+///   answer.
+/// * **Streaming engines** share one parse: every plan rides **one**
+///   sequential scan of the document. `events` is the total parser event
+///   count of that scan — the same count a *single* streamed query
+///   reports, which is the proof the pass was shared — and every answer
+///   carries its serialized XML: raw source subtrees for admin sessions,
+///   the access-controlled view rendering for group sessions.
 #[derive(Debug)]
 pub struct BatchAnswer {
     /// One answer per query, in input order.
     pub answers: Vec<Answer>,
-    /// Parser events of the single shared document scan (0 for the
-    /// parallel DOM path, which does not parse — it partitions plans over
-    /// one in-memory snapshot).
+    /// Parser events of the single shared document scan of a streaming
+    /// engine (0 on DOM engines, which answer from the tree and parse
+    /// nothing).
     pub events: usize,
 }
 
 impl BatchAnswer {
     /// The per-query evaluation counters merged into one total (additive
     /// counters sum, depth takes the maximum) — the batch-level figure
-    /// the parallel DOM path's workers contribute to.
+    /// of a DOM batch, whatever its worker count.
     pub fn merged_stats(&self) -> EvalStats {
         let mut total = EvalStats::default();
         for a in &self.answers {
@@ -929,16 +931,17 @@ impl Engine {
     }
 
     /// Evaluates each `(session, query)` request — possibly for different
-    /// users, groups and views — against their (shared) document in **one
-    /// sequential scan**.
+    /// users, groups and views — against **one snapshot** of their
+    /// (shared) document, as [`Session::query_batch`] does: DOM engines
+    /// answer from the snapshot's tree, streaming engines share one parse.
     ///
     /// Every session must belong to this engine and target the same
     /// catalog entry; mixing documents or engines is a
-    /// [`EngineError::BatchMismatch`] (one scan can only serve one
+    /// [`EngineError::BatchMismatch`] (one snapshot can only serve one
     /// document). Plans are resolved per request through the shared plan
     /// cache, so a busy serving mix pays at most one compilation per
-    /// distinct `(scope, query)` pair and exactly one parse of the
-    /// document for the whole batch.
+    /// distinct `(scope, query)` pair, and a streaming engine exactly one
+    /// parse of the document for the whole batch.
     pub fn evaluate_batch(
         self: &Arc<Self>,
         requests: &[(&Session, &str)],
@@ -958,7 +961,9 @@ impl Engine {
             let (mfa, cached) = self.plan_tracked(&entry, &session.user, query)?;
             parts.push((session.user.clone(), mfa, cached));
         }
-        let result = self.evaluate_batch_parts(&entry, &parts, &WorkBudget::unlimited());
+        let result = self
+            .evaluate_batch_parts(&entry, &parts, &WorkBudget::unlimited())
+            .map(|(batch, _)| batch);
         // Cross-session batches account each answer to its own tenant
         // (the per-session `query_batch` path records through
         // `record_batch` instead).
@@ -977,33 +982,46 @@ impl Engine {
         result
     }
 
-    /// Shared batch path: one snapshot, one scan, N machines — or, for
-    /// DOM engines with `eval_threads > 1`, one snapshot partitioned
-    /// across worker threads. `parts` are `(user, plan, plan_cached)`
-    /// triples in answer order.
+    /// Shared batch path: plan-ordered `(user, plan, plan_cached)` triples
+    /// answered against ONE snapshot of `entry`, which is returned with
+    /// the answers (their node ids refer to its document; `None` only for
+    /// an empty batch, which takes no snapshot). DOM engines answer from
+    /// the snapshot's tree ([`Engine::evaluate_batch_dom`]); streaming
+    /// engines share one parse of its buffer.
     pub(crate) fn evaluate_batch_parts(
         &self,
         entry: &Arc<DocumentEntry>,
         parts: &[(User, Arc<CompiledMfa>, bool)],
         budget: &WorkBudget,
-    ) -> Result<BatchAnswer, EngineError> {
+    ) -> Result<(BatchAnswer, Option<Arc<LoadedSource>>), EngineError> {
         if parts.is_empty() {
-            return Ok(BatchAnswer {
+            let empty = BatchAnswer {
                 answers: Vec::new(),
                 events: 0,
-            });
+            };
+            return Ok((empty, None));
         }
         let source = entry.snapshot()?;
-        if self.config.mode == DocumentMode::Dom && self.config.eval_threads > 1 {
-            return self.evaluate_batch_parallel(&source, parts, budget);
-        }
-        // Single-threaded batches evaluate by streaming (one shared scan)
-        // and every answer is returned serialized. Only admin lanes
-        // buffer subtree XML during the scan; group answers are rendered
-        // through their view from the snapshot's DOM afterwards (the raw
-        // buffered subtrees would leak hidden descendants and be
-        // discarded anyway). Node ids are mode-independent by the parity
-        // invariant, so DOM-mode engines get identical answers.
+        let batch = match self.config.mode {
+            DocumentMode::Dom => self.evaluate_batch_dom(&source, parts, budget)?,
+            DocumentMode::Stream => self.evaluate_batch_stream(entry, &source, parts, budget)?,
+        };
+        Ok((batch, Some(source)))
+    }
+
+    /// The streaming batch path: every plan rides one sequential scan of
+    /// the snapshot's buffer and every answer is returned serialized. Only
+    /// admin lanes buffer subtree XML during the scan; group answers are
+    /// rendered through their view from the snapshot's DOM afterwards (the
+    /// raw buffered subtrees would leak hidden descendants and be
+    /// discarded anyway).
+    fn evaluate_batch_stream(
+        &self,
+        entry: &Arc<DocumentEntry>,
+        source: &LoadedSource,
+        parts: &[(User, Arc<CompiledMfa>, bool)],
+        budget: &WorkBudget,
+    ) -> Result<BatchAnswer, EngineError> {
         let plans: Vec<(&CompiledMfa, StreamOptions)> = parts
             .iter()
             .map(|(user, mfa, _)| {
@@ -1016,7 +1034,7 @@ impl Engine {
             .iter_mut()
             .map(|o| o as &mut dyn EvalObserver)
             .collect();
-        let outcome = self.scan_source(&source, &plans, &mut dyns, budget)?;
+        let outcome = self.scan_source(source, &plans, &mut dyns, budget)?;
         let events = outcome.events;
         let mut answers = Vec::with_capacity(parts.len());
         for (out, (user, _, cached)) in outcome.outcomes.into_iter().zip(parts) {
@@ -1028,38 +1046,38 @@ impl Engine {
                 xml: out.answer_xml,
             };
             if let User::Group(g) = user {
-                answer.xml = Some(render_view_xml(entry, g, &source, &answer.nodes)?);
+                answer.xml = Some(render_view_xml(entry, g, source, &answer.nodes)?);
             }
             answers.push(answer);
         }
         Ok(BatchAnswer { answers, events })
     }
 
-    /// The parallel DOM batch path. Plans that resolve to jump mode (per
-    /// the same scan/jump auto-pick [`Session::query`] applies) merge
-    /// their candidate lists into **one shared ascending frontier**,
-    /// partitioned by frontier ranges across
-    /// [`EngineConfig::eval_threads`] workers — one hop sequence drives
-    /// all of them instead of each worker re-walking the document. The
-    /// remaining plans partition across scoped workers as before, all
-    /// evaluating against the same `Arc` document/TAX snapshot
-    /// (`Send + Sync`, no worker takes a lock). Answers are independent
-    /// of the thread count by construction.
-    fn evaluate_batch_parallel(
+    /// The DOM batch path, at every [`EngineConfig::eval_threads`]. Each
+    /// plan takes the scan/jump pick a lone [`Session::query`] makes.
+    /// Jump plans merge their candidate lists into **one shared ascending
+    /// frontier**, partitioned by frontier ranges across the workers — one
+    /// hop sequence drives all of them instead of each plan re-walking the
+    /// document. The remaining plans are evaluated one by one, inline on
+    /// the calling thread with one worker, or partitioned across scoped
+    /// workers with more. Every worker reads the same `Arc` document/TAX
+    /// snapshot (`Send + Sync`, no worker takes a lock), so answers are
+    /// independent of the thread count by construction. Nothing is parsed:
+    /// `events` is 0 and `xml` stays `None`, like any other DOM answer.
+    fn evaluate_batch_dom(
         &self,
-        source: &Arc<LoadedSource>,
+        source: &LoadedSource,
         parts: &[(User, Arc<CompiledMfa>, bool)],
         budget: &WorkBudget,
     ) -> Result<BatchAnswer, EngineError> {
         let mut slots: Vec<Option<Result<Answer, EngineError>>> = Vec::new();
         slots.resize_with(parts.len(), || None);
         let mut jump_idx: Vec<usize> = Vec::new();
-        let mut scan_idx: Vec<usize> = Vec::new();
+        let mut scan_idx: Vec<(usize, ExecMode)> = Vec::new();
         for (i, (_, plan, _)) in parts.iter().enumerate() {
-            if self.resolve_dom_mode(source, plan, false) == ExecMode::Jump {
-                jump_idx.push(i);
-            } else {
-                scan_idx.push(i);
+            match self.resolve_dom_mode(source, plan, false) {
+                ExecMode::Jump => jump_idx.push(i),
+                mode => scan_idx.push((i, mode)),
             }
         }
         if !jump_idx.is_empty() {
@@ -1083,36 +1101,40 @@ impl Engine {
                         }));
                     }
                     // The mode pick said jump but the frontier could not
-                    // admit the plan: evaluate it with the scan workers.
-                    None => scan_idx.push(i),
+                    // admit the plan: run its own jump evaluation.
+                    None => scan_idx.push((i, ExecMode::Jump)),
                 }
             }
-            scan_idx.sort_unstable();
         }
         if !scan_idx.is_empty() {
-            let workers = self.config.eval_threads.min(scan_idx.len()).max(1);
-            let chunk = scan_idx.len().div_ceil(workers);
             let mut scan_slots: Vec<Option<Result<Answer, EngineError>>> = Vec::new();
             scan_slots.resize_with(scan_idx.len(), || None);
-            std::thread::scope(|scope| {
-                for (idx_chunk, slot_chunk) in
-                    scan_idx.chunks(chunk).zip(scan_slots.chunks_mut(chunk))
-                {
-                    scope.spawn(move || {
-                        for (&i, slot) in idx_chunk.iter().zip(slot_chunk.iter_mut()) {
-                            let (_, plan, cached) = &parts[i];
-                            let result = self
-                                .evaluate_snapshot_budgeted(source, plan, &mut NoopObserver, budget)
-                                .map(|mut answer| {
-                                    answer.plan_cached = *cached;
-                                    answer
-                                });
-                            *slot = Some(result);
-                        }
-                    });
+            let evaluate = |idx: &[(usize, ExecMode)], out: &mut [Option<Result<Answer, _>>]| {
+                for (&(i, mode), slot) in idx.iter().zip(out) {
+                    let (_, plan, cached) = &parts[i];
+                    let result = self
+                        .evaluate_dom(source, plan, mode, &mut NoopObserver, budget)
+                        .map(|mut answer| {
+                            answer.plan_cached = *cached;
+                            answer
+                        });
+                    *slot = Some(result);
                 }
-            });
-            for (i, slot) in scan_idx.into_iter().zip(scan_slots) {
+            };
+            let workers = self.config.eval_threads.min(scan_idx.len()).max(1);
+            if workers == 1 {
+                evaluate(&scan_idx, &mut scan_slots);
+            } else {
+                let chunk = scan_idx.len().div_ceil(workers);
+                std::thread::scope(|scope| {
+                    for (idx_chunk, slot_chunk) in
+                        scan_idx.chunks(chunk).zip(scan_slots.chunks_mut(chunk))
+                    {
+                        scope.spawn(move || evaluate(idx_chunk, slot_chunk));
+                    }
+                });
+            }
+            for ((i, _), slot) in scan_idx.into_iter().zip(scan_slots) {
                 slots[i] = slot;
             }
         }
@@ -1140,23 +1162,8 @@ impl Engine {
     ) -> Result<Answer, EngineError> {
         match self.config.mode {
             DocumentMode::Dom => {
-                let tax = if self.config.use_tax {
-                    source.tax.as_deref()
-                } else {
-                    None
-                };
                 let mode = self.resolve_dom_mode(source, plan, !observer.is_noop());
-                let options = DomOptions { tax };
-                let (nodes, stats) =
-                    evaluate_mfa_plan_budgeted(&source.doc, plan, &options, mode, observer, budget)
-                        .map_err(|interrupt| EngineError::from(interrupt.kind))?;
-                Ok(Answer {
-                    nodes: nodes.into_vec(),
-                    stats,
-                    plan_cached: false,
-                    mode,
-                    xml: None,
-                })
+                self.evaluate_dom(source, plan, mode, observer, budget)
             }
             DocumentMode::Stream => {
                 let lane = [(plan, StreamOptions { want_xml: true })];
@@ -1174,6 +1181,34 @@ impl Engine {
                 })
             }
         }
+    }
+
+    /// Evaluates `plan` over the snapshot's tree in the already-resolved
+    /// DOM traversal `mode`.
+    fn evaluate_dom(
+        &self,
+        source: &LoadedSource,
+        plan: &CompiledMfa,
+        mode: ExecMode,
+        observer: &mut dyn EvalObserver,
+        budget: &WorkBudget,
+    ) -> Result<Answer, EngineError> {
+        let tax = if self.config.use_tax {
+            source.tax.as_deref()
+        } else {
+            None
+        };
+        let options = DomOptions { tax };
+        let (nodes, stats) =
+            evaluate_mfa_plan_budgeted(&source.doc, plan, &options, mode, observer, budget)
+                .map_err(|interrupt| EngineError::from(interrupt.kind))?;
+        Ok(Answer {
+            nodes: nodes.into_vec(),
+            stats,
+            plan_cached: false,
+            mode,
+            xml: None,
+        })
     }
 
     /// Runs `plans` over one sequential scan of the snapshot's buffer —
@@ -1314,26 +1349,33 @@ impl Session {
         Ok((answer, source))
     }
 
-    /// Answers a whole batch of queries in **one sequential scan** of the
-    /// document (all plans are fed the same pull-parser events; see
-    /// [`smoqe_hype::batch`]). Answers come back in query order, each
-    /// identical to what [`Session::query`] would have returned, plus the
-    /// shared event count proving the document was parsed once.
+    /// Answers a whole batch of queries against one snapshot of the
+    /// document. Answers come back in query order, each identical to what
+    /// [`Session::query`] would have returned. DOM engines answer from the
+    /// snapshot's tree (jump plans share one frontier sweep; `events` is
+    /// 0); streaming engines share one parse of the buffer (all plans are
+    /// fed the same pull-parser events, see [`smoqe_hype::batch`]) and
+    /// report its event count.
     pub fn query_batch(&self, queries: &[&str]) -> Result<BatchAnswer, EngineError> {
-        self.query_batch_budgeted(queries, &WorkBudget::unlimited())
+        Ok(self
+            .query_batch_budgeted(queries, &WorkBudget::unlimited())?
+            .0)
     }
 
     /// [`Session::query_batch`] under a [`WorkBudget`] shared by every
-    /// plan in the batch (one scan, one deadline).
+    /// plan in the batch (one snapshot, one deadline), returning the
+    /// snapshot the answers were computed on.
     fn query_batch_budgeted(
         &self,
         queries: &[&str],
         budget: &WorkBudget,
-    ) -> Result<BatchAnswer, EngineError> {
+    ) -> Result<(BatchAnswer, Option<Arc<LoadedSource>>), EngineError> {
         let result = self.query_batch_inner(queries, budget);
-        self.engine
-            .tenants
-            .record_batch(&self.user, queries.len(), result.as_ref());
+        self.engine.tenants.record_batch(
+            &self.user,
+            queries.len(),
+            result.as_ref().map(|(batch, _)| batch),
+        );
         result
     }
 
@@ -1341,7 +1383,7 @@ impl Session {
         &self,
         queries: &[&str],
         budget: &WorkBudget,
-    ) -> Result<BatchAnswer, EngineError> {
+    ) -> Result<(BatchAnswer, Option<Arc<LoadedSource>>), EngineError> {
         let mut parts = Vec::with_capacity(queries.len());
         for query in queries {
             let (mfa, cached) = self.engine.plan_tracked(&self.entry, &self.user, query)?;
@@ -1383,8 +1425,8 @@ impl Session {
 
     /// Like [`Session::query_batch`], with every answer's `xml` filled
     /// safely for this principal (see [`Session::query_serialized`]).
-    /// Streaming batches already serialize during the scan; parallel DOM
-    /// batches render afterwards from the current snapshot.
+    /// Streaming batches already serialize during the scan; DOM batches
+    /// render afterwards from the snapshot they were answered on.
     pub fn query_batch_serialized(&self, queries: &[&str]) -> Result<BatchAnswer, EngineError> {
         self.query_batch_serialized_budgeted(queries, &WorkBudget::unlimited())
     }
@@ -1396,9 +1438,8 @@ impl Session {
         queries: &[&str],
         budget: &WorkBudget,
     ) -> Result<BatchAnswer, EngineError> {
-        let mut batch = self.query_batch_budgeted(queries, budget)?;
-        if batch.answers.iter().any(|a| a.xml.is_none()) {
-            let source = self.entry.snapshot()?;
+        let (mut batch, source) = self.query_batch_budgeted(queries, budget)?;
+        if let Some(source) = source {
             for answer in &mut batch.answers {
                 if answer.xml.is_none() {
                     answer.xml = Some(match &self.user {
@@ -1700,10 +1741,14 @@ mod tests {
                 let serial = session.query(q).unwrap();
                 assert_eq!(batched.nodes, serial.nodes, "batched `{q}` diverged");
             }
-            // The scan is shared: a batch of one reports the same event
-            // count as the full batch.
-            let single = session.query_batch(&queries[..1]).unwrap();
-            assert_eq!(batch.events, single.events, "batch must not re-scan");
+            if config.mode == DocumentMode::Stream {
+                // The scan is shared: a batch of one reports the same
+                // event count as the full batch.
+                let single = session.query_batch(&queries[..1]).unwrap();
+                assert_eq!(batch.events, single.events, "batch must not re-scan");
+            } else {
+                assert_eq!(batch.events, 0, "DOM batches answer from the snapshot");
+            }
         }
     }
 
@@ -2058,7 +2103,7 @@ mod tests {
             engine.build_tax_index().unwrap();
             engine.session(User::Admin).query_batch(&queries).unwrap()
         };
-        for threads in [2, 4] {
+        for threads in [1, 2, 4] {
             let engine = Engine::new(EngineConfig {
                 eval_threads: threads,
                 ..EngineConfig::default()
@@ -2068,7 +2113,7 @@ mod tests {
             engine.build_tax_index().unwrap();
             let session = engine.session(User::Admin);
             let batch = session.query_batch(&queries).unwrap();
-            assert_eq!(batch.events, 0, "the parallel DOM path does not parse");
+            assert_eq!(batch.events, 0, "DOM batches do not parse");
             assert_eq!(batch.answers.len(), serial.answers.len());
             for ((q, serial_answer), parallel_answer) in
                 queries.iter().zip(&serial.answers).zip(&batch.answers)
@@ -2090,6 +2135,55 @@ mod tests {
                     .sum::<usize>()
             );
             assert_eq!(merged.tree_passes, queries.len());
+        }
+    }
+
+    #[test]
+    fn single_thread_dom_batch_honours_cancel_and_deadline() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        // Check on every unit of work so the 2k-node document trips the
+        // budget long before the batch could finish.
+        let cancelled = WorkBudget {
+            check_interval: 1,
+            ..WorkBudget::with_cancel(Arc::new(AtomicBool::new(true)))
+        };
+        let expired = WorkBudget {
+            check_interval: 1,
+            ..WorkBudget::with_deadline(Instant::now() - Duration::from_secs(1))
+        };
+        // With TAX the selective plans share the jump frontier; without
+        // it every plan runs the inline scan.
+        for (tax, mode, query) in [
+            (true, ExecMode::Jump, "//medication"),
+            (
+                false,
+                ExecMode::Compiled,
+                "hospital/patient/(parent/patient)*/visit",
+            ),
+        ] {
+            let engine = Engine::new(EngineConfig {
+                eval_threads: 1,
+                ..EngineConfig::default()
+            });
+            hospital::dtd(engine.vocabulary());
+            let doc = hospital::generate_document(engine.vocabulary(), 5, 2_000);
+            engine.load_document_tree(doc).unwrap();
+            if tax {
+                engine.build_tax_index().unwrap();
+            }
+            let session = engine.session(User::Admin);
+            let queries = [query, query];
+            let full = session.query_batch(&queries).unwrap();
+            assert!(full.answers.iter().all(|a| a.mode == mode && !a.is_empty()));
+            assert!(matches!(
+                session.query_batch_serialized_budgeted(&queries, &cancelled),
+                Err(EngineError::Cancelled)
+            ));
+            assert!(matches!(
+                session.query_batch_serialized_budgeted(&queries, &expired),
+                Err(EngineError::DeadlineExceeded)
+            ));
         }
     }
 

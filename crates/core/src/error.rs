@@ -22,7 +22,7 @@ pub enum EngineError {
     /// Direct document access requested without admin rights.
     AccessDenied,
     /// A batched evaluation mixed sessions of different documents or
-    /// engines — one scan can only serve one document.
+    /// engines — one snapshot can only serve one document.
     BatchMismatch,
     /// An update statement could not be parsed or applied (admin
     /// surface; group sessions see most of these as [`UpdateDenied`]).

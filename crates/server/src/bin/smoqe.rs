@@ -38,13 +38,15 @@
 //! posting lists, or child-witness postings.
 //!
 //! `--batch FILE` answers every query listed in FILE (one Regular XPath
-//! query per line, `#` comments and blank lines skipped) in **one
-//! sequential scan** of the document and reports the shared event count;
-//! the positional QUERY argument is not needed then.
+//! query per line, `#` comments and blank lines skipped) against one
+//! snapshot of the document — from the DOM tree (jump plans sharing one
+//! frontier sweep), or with `--stream` in **one sequential scan** whose
+//! shared event count it reports; the positional QUERY argument is not
+//! needed then.
 //!
 //! `bench-traffic` is the serving layer's load generator: it drives
 //! `--sessions` concurrent TCP connections (alternating admin and view
-//! principals) of mixed single-query / shared-scan-batch / update traffic
+//! principals) of mixed single-query / batch / update traffic
 //! against `--addr`, or — without `--addr` — against a freshly started
 //! in-process server preloaded with the hospital sample. It reports
 //! p50/p95/p99 latency, QPS, the admission-control refusal counts
@@ -217,18 +219,6 @@ fn build_document(args: &Args) -> Result<(DocHandle, User), Box<dyn std::error::
                 // make the explicit request unobservable.
                 return Err("--mode jump/auto is a DOM-mode strategy; \
                             --stream always evaluates by sequential scan"
-                    .into());
-            }
-            if config.eval_mode == EvalMode::Jump
-                && args.flags.contains_key("batch")
-                && config.eval_threads <= 1
-            {
-                // A 1-thread DOM batch rides the shared streaming scan,
-                // where jumping cannot apply — same rule as --stream: an
-                // explicit jump request must not silently scan.
-                return Err("--mode jump with --batch evaluates by one shared \
-                            scan at 1 thread; add --threads N (N > 1) for \
-                            jump-mode batches, or drop --batch"
                     .into());
             }
             // Jumping runs on the TAX index's positional lists, so asking
@@ -404,17 +394,10 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         let queries: Vec<&str> = lines.iter().map(String::as_str).collect();
         // --repeat re-runs the whole batch (each re-run hits the plan
         // cache), same as it re-runs a single query.
-        let mut batch = session.query_batch(&queries)?;
+        let mut batch = session.query_batch_serialized(&queries)?;
         for _ in 1..repeat {
-            batch = session.query_batch(&queries)?;
+            batch = session.query_batch_serialized(&queries)?;
         }
-        // Parallel DOM batches serialize their answers from the document
-        // tree after the fact (fetched once for the whole batch).
-        let tree = if batch.events == 0 {
-            Some(doc.document()?)
-        } else {
-            None
-        };
         if batch.events > 0 {
             eprintln!(
                 "{} quer{} answered in ONE scan ({} parser events)",
@@ -446,30 +429,8 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                     ""
                 },
             );
-            match &answer.xml {
-                Some(xmls) => {
-                    for xml in xmls {
-                        println!("{xml}");
-                    }
-                }
-                // Parallel DOM answers are not serialized during
-                // evaluation; render them afterwards so --threads N
-                // prints what --threads 1 prints. Admin answers
-                // serialize straight from the already-computed node sets;
-                // group answers go back through query_serialized, which
-                // renders view images with hidden descendants filtered.
-                None => match (&tree, session.user()) {
-                    (Some(tree), User::Admin) => {
-                        for xml in answer.serialize_with(tree) {
-                            println!("{xml}");
-                        }
-                    }
-                    _ => {
-                        for xml in session.query_serialized(query)?.xml.unwrap_or_default() {
-                            println!("{xml}");
-                        }
-                    }
-                },
+            for xml in answer.xml.iter().flatten() {
+                println!("{xml}");
             }
         }
         if args.switch("explain") {

@@ -350,7 +350,7 @@ impl Client {
     }
 
     /// Evaluates a batch; returns per-query answers plus the shared-scan
-    /// event count (0 for group principals).
+    /// event count (0 for group principals and DOM engines).
     pub fn query_batch(
         &mut self,
         queries: &[&str],

@@ -647,7 +647,7 @@ pub enum Request {
         /// runs and abandoned mid-scan if it expires while running.
         deadline_ms: u32,
     },
-    /// Evaluate several queries in one shared scan.
+    /// Evaluate several queries against one document snapshot.
     QueryBatch {
         /// The query texts, answered in order.
         queries: Vec<String>,
@@ -1313,7 +1313,7 @@ pub enum Response {
         /// One answer per query, input order.
         answers: Vec<WireAnswer>,
         /// Shared-scan parser events (admin only; `0` for groups and for
-        /// the DOM path).
+        /// DOM engines, which answer batches from the snapshot).
         events: u64,
     },
     /// Update applied.
@@ -1518,8 +1518,9 @@ impl Response {
     }
 
     /// Builds the masked wire view of a [`BatchAnswer`] for `principal`.
-    /// The shared-scan event count measures the *source* parse, hidden
-    /// regions included, so group principals see `0`.
+    /// A streaming engine's shared-scan event count measures the *source*
+    /// parse, hidden regions included, so group principals see `0` (a DOM
+    /// engine answers batches from the snapshot and reports `0` to all).
     pub fn from_batch(batch: &BatchAnswer, principal: &Principal, request_id: u64) -> Response {
         Response::BatchOk {
             answers: batch

@@ -9,7 +9,7 @@
 //!
 //! Each session is one real TCP connection on its own thread, bound to a
 //! principal at `Hello`, issuing a deterministic pseudo-random mix of
-//! single queries, shared-scan batches and (admin sessions only)
+//! single queries, query batches and (admin sessions only)
 //! insert+delete update transactions that leave the document unchanged.
 //! Determinism matters: two runs with the same seed issue the same
 //! request sequence, so configurations are comparable. `Busy` responses
@@ -59,7 +59,7 @@ pub struct TrafficConfig {
     pub principals: Vec<Principal>,
     /// Query pool for single reads (group-safe queries).
     pub read_queries: Vec<String>,
-    /// Query pool for shared-scan batches.
+    /// Query pool for query batches.
     pub batch_queries: Vec<String>,
     /// Queries per batch request.
     pub batch_size: usize,

@@ -21,7 +21,7 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smoqe::{workloads::hospital, Engine};
+use smoqe::{workloads::hospital, Engine, EngineConfig};
 use smoqe_server::proto::{
     code, op, Frame, FrameBuffer, Principal, Request, Response, WireStats, DEFAULT_MAX_FRAME_LEN,
 };
@@ -29,12 +29,17 @@ use smoqe_server::{
     percentile, seeded_schedule, ChaosProxy, Client, Server, ServerConfig, ServerHandle,
 };
 
-/// Starts a server on a *generated* hospital document big enough that a
+/// Starts a server over an `engine_config` engine on a *generated*
+/// hospital document big enough that, on a streaming engine, a
 /// shared-scan batch of closure queries occupies a worker for seconds —
-/// the deterministic "blocker" the shed tests park behind.
-/// Deterministic per seed.
-fn start_big_server(config: ServerConfig) -> (ServerHandle, Arc<Engine>) {
-    let engine = Engine::with_defaults();
+/// the deterministic "blocker" the shed tests park behind. (A DOM engine
+/// answers the same batch from its tree in a few milliseconds, too
+/// briefly to park anything behind.) Deterministic per seed.
+fn start_big_server(
+    engine_config: EngineConfig,
+    config: ServerConfig,
+) -> (ServerHandle, Arc<Engine>) {
+    let engine = Engine::new(engine_config);
     let doc = engine.open_document("wards");
     doc.load_dtd(hospital::DTD).unwrap();
     let tree = hospital::generate_document(engine.vocabulary(), 42, 30_000);
@@ -47,9 +52,9 @@ fn start_big_server(config: ServerConfig) -> (ServerHandle, Arc<Engine>) {
 
 /// A QueryBatch that holds one worker busy for a couple of seconds
 /// while probes queue up behind it: closure queries in one shared scan
-/// over the generated document. Must run as **admin** — the policy
-/// hides `visit`, so on the view this matches nothing and returns
-/// instantly.
+/// over the generated document (on a streaming engine). Must run as
+/// **admin** — the policy hides `visit`, so on the view this matches
+/// nothing and returns instantly.
 fn blocker_batch() -> Request {
     Request::QueryBatch {
         queries: vec!["hospital/patient/(parent/patient)*/visit/treatment".to_string(); 4],
@@ -124,10 +129,13 @@ fn await_drained(client: &mut Client, timeout: Duration) -> WireStats {
 #[test]
 fn queue_shed_deadline_frames_are_byte_identical_hidden_vs_nonexistent() {
     // One worker, so the blocker batch serializes everything behind it.
-    let (handle, _engine) = start_big_server(ServerConfig {
-        workers: 1,
-        ..ServerConfig::default()
-    });
+    let (handle, _engine) = start_big_server(
+        EngineConfig::streaming(),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
 
     // Park the only worker on a heavy shared scan.
     let addr = handle.local_addr();
@@ -184,10 +192,13 @@ fn queue_shed_deadline_frames_are_byte_identical_hidden_vs_nonexistent() {
 fn brownout_refusals_are_byte_identical_and_spare_admins() {
     // Watermark zero: every non-admin engine op is refused while the
     // brownout holds — the easiest deterministic overload.
-    let (handle, _engine) = start_big_server(ServerConfig {
-        brownout_watermark: 0,
-        ..ServerConfig::default()
-    });
+    let (handle, _engine) = start_big_server(
+        EngineConfig::default(),
+        ServerConfig {
+            brownout_watermark: 0,
+            ..ServerConfig::default()
+        },
+    );
 
     let (mut hidden_conn, mut hidden_fb) = raw_researcher(&handle);
     let (mut missing_conn, mut missing_fb) = raw_researcher(&handle);
@@ -231,10 +242,13 @@ fn brownout_refusals_are_byte_identical_and_spare_admins() {
 
 #[test]
 fn dropped_connection_cancels_inflight_work_and_frees_the_slot() {
-    let (handle, _engine) = start_big_server(ServerConfig {
-        workers: 1,
-        ..ServerConfig::default()
-    });
+    let (handle, _engine) = start_big_server(
+        EngineConfig::streaming(),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
 
     // An admin sends the heavy batch (the blocker only bites on the raw
     // document), waits long enough for a worker to be mid-scan, then
@@ -270,7 +284,7 @@ fn dropped_connection_cancels_inflight_work_and_frees_the_slot() {
 
 #[test]
 fn chaos_storm_leaks_nothing_and_healthy_traffic_stays_sane() {
-    let (handle, _engine) = start_big_server(ServerConfig::default());
+    let (handle, _engine) = start_big_server(EngineConfig::default(), ServerConfig::default());
     let upstream = handle.local_addr();
 
     // A seeded schedule covering all five fault modes, reproducible

@@ -11,7 +11,7 @@
 //! * catalog documents and their user groups are isolated from each other.
 
 use smoqe::workloads::{hospital, org};
-use smoqe::{DocHandle, Engine, EngineConfig, User};
+use smoqe::{DocHandle, DocumentMode, Engine, EngineConfig, User};
 use smoqe_xml::NodeId;
 use std::sync::Arc;
 
@@ -269,52 +269,60 @@ fn sessions_survive_document_drop_and_reload() {
 fn multi_group_batch_shares_one_scan_and_matches_serial() {
     // One engine, one document, FOUR principals (admin + three groups with
     // different views): a single cross-session batch must answer all of
-    // them in one scan, each through its own view.
-    let engine = Engine::with_defaults();
-    let doc = hospital_doc(&engine, "hospital");
-    let mix = serving_mix(&doc);
+    // them over one snapshot, each through its own view — in one shared
+    // scan on a streaming engine.
+    for config in [EngineConfig::default(), EngineConfig::streaming()] {
+        let engine = Engine::new(config);
+        let doc = hospital_doc(&engine, "hospital");
+        let mix = serving_mix(&doc);
 
-    let sessions: Vec<smoqe::Session> = mix
-        .iter()
-        .map(|(user, _)| doc.session(user.clone()))
-        .collect();
-    let requests: Vec<(&smoqe::Session, &str)> = sessions
-        .iter()
-        .zip(mix.iter())
-        .map(|(s, (_, q))| (s, *q))
-        .collect();
+        let sessions: Vec<smoqe::Session> = mix
+            .iter()
+            .map(|(user, _)| doc.session(user.clone()))
+            .collect();
+        let requests: Vec<(&smoqe::Session, &str)> = sessions
+            .iter()
+            .zip(mix.iter())
+            .map(|(s, (_, q))| (s, *q))
+            .collect();
 
-    let batch = engine.evaluate_batch(&requests).unwrap();
-    assert_eq!(batch.answers.len(), mix.len());
-    for ((user, q), answer) in mix.iter().zip(&batch.answers) {
-        let serial = doc.session(user.clone()).query(q).unwrap();
-        assert_eq!(
-            answer.nodes, serial.nodes,
-            "batched `{q}` as {user:?} diverged from serial"
-        );
-    }
-    // The whole multi-group mix cost a single document scan.
-    let one_scan = engine.evaluate_batch(&requests[..1]).unwrap().events;
-    assert_eq!(batch.events, one_scan, "batch re-scanned the document");
-
-    // The mix covers several distinct principals over the same scan.
-    let distinct: std::collections::HashSet<_> = mix.iter().map(|(u, _)| u.clone()).collect();
-    assert!(distinct.len() >= 4, "mix should span admin + 3 groups");
-
-    // Batching from multiple threads stays consistent too.
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let engine = &engine;
-            let requests = &requests;
-            let batch = &batch;
-            scope.spawn(move || {
-                let again = engine.evaluate_batch(requests).unwrap();
-                for (a, b) in again.answers.iter().zip(&batch.answers) {
-                    assert_eq!(a.nodes, b.nodes);
-                }
-            });
+        let batch = engine.evaluate_batch(&requests).unwrap();
+        assert_eq!(batch.answers.len(), mix.len());
+        for ((user, q), answer) in mix.iter().zip(&batch.answers) {
+            let serial = doc.session(user.clone()).query(q).unwrap();
+            assert_eq!(
+                answer.nodes, serial.nodes,
+                "batched `{q}` as {user:?} diverged from serial in {:?} mode",
+                config.mode
+            );
         }
-    });
+        if config.mode == DocumentMode::Stream {
+            // The whole multi-group mix cost a single document scan.
+            let one_scan = engine.evaluate_batch(&requests[..1]).unwrap().events;
+            assert_eq!(batch.events, one_scan, "batch re-scanned the document");
+        } else {
+            assert_eq!(batch.events, 0, "DOM batches answer from the snapshot");
+        }
+
+        // The mix covers several distinct principals over the same snapshot.
+        let distinct: std::collections::HashSet<_> = mix.iter().map(|(u, _)| u.clone()).collect();
+        assert!(distinct.len() >= 4, "mix should span admin + 3 groups");
+
+        // Batching from multiple threads stays consistent too.
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let engine = &engine;
+                let requests = &requests;
+                let batch = &batch;
+                scope.spawn(move || {
+                    let again = engine.evaluate_batch(requests).unwrap();
+                    for (a, b) in again.answers.iter().zip(&batch.answers) {
+                        assert_eq!(a.nodes, b.nodes);
+                    }
+                });
+            }
+        });
+    }
 }
 
 /// Applies one update through the engine's write path the first time the

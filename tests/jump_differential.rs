@@ -197,34 +197,39 @@ proptest! {
 }
 
 /// Deterministic multi-thread batch check: a DOM batch returns the same
-/// answers at 1, 2, 4 and 8 worker threads (1 thread takes the shared
-/// streaming scan; more take the parallel snapshot path).
+/// answers at 1, 2, 4 and 8 worker threads — every thread count answers
+/// from the snapshot, parsing nothing — and the same answers a streaming
+/// engine's one shared scan returns.
 #[test]
 fn batch_answers_are_independent_of_eval_threads() {
     let queries: Vec<&str> = hospital::DOC_QUERIES.iter().map(|(_, q)| *q).collect();
-    let mut baseline: Option<Vec<Vec<smoqe_xml::NodeId>>> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let engine = Engine::new(EngineConfig {
-            eval_threads: threads,
-            ..EngineConfig::default()
-        });
+    let run = |config: EngineConfig| {
+        let engine = Engine::new(config);
         hospital::dtd(engine.vocabulary());
         let doc = hospital::generate_document(engine.vocabulary(), 3, 2_000);
         engine.load_document_tree(doc).unwrap();
-        engine.build_tax_index().unwrap();
+        if config.use_tax {
+            engine.build_tax_index().unwrap();
+        }
         let session = engine.session(User::Admin);
         let batch = session.query_batch(&queries).unwrap();
+        let one_scan = session.query_batch(&queries[..1]).unwrap().events;
         let nodes: Vec<Vec<smoqe_xml::NodeId>> =
             batch.answers.iter().map(|a| a.nodes.clone()).collect();
-        match &baseline {
-            None => baseline = Some(nodes),
-            Some(want) => assert_eq!(
-                &nodes, want,
-                "batch answers changed at {threads} eval threads"
-            ),
-        }
-        if threads > 1 {
-            assert_eq!(batch.events, 0, "parallel DOM batches do not parse");
-        }
+        (nodes, batch.events, one_scan)
+    };
+    let (baseline, events, one_scan) = run(EngineConfig::streaming());
+    assert!(events > 0);
+    assert_eq!(events, one_scan, "a streaming batch shares one scan");
+    for threads in [1usize, 2, 4, 8] {
+        let (nodes, events, _) = run(EngineConfig {
+            eval_threads: threads,
+            ..EngineConfig::default()
+        });
+        assert_eq!(
+            nodes, baseline,
+            "batch answers changed at {threads} eval threads"
+        );
+        assert_eq!(events, 0, "DOM batches do not parse ({threads} threads)");
     }
 }

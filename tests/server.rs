@@ -114,7 +114,7 @@ fn concurrent_remote_clients_match_in_process_sessions() {
                         }
                     }
                 }
-                // Batches too: same shared-scan answers, serialized.
+                // Batches too: same answers, serialized.
                 let refs: Vec<&str> = queries.to_vec();
                 let (remote_batch, _events) = client.query_batch(&refs).unwrap();
                 let local_batch = session.query_batch_serialized(&refs).unwrap();
